@@ -23,6 +23,9 @@ Result<std::unique_ptr<GancPipeline>> GancPipeline::Create(
   if (base == nullptr) {
     return Status::InvalidArgument("pipeline needs a base recommender");
   }
+  // Preference models and the re-ranker read the CSC item index, which a
+  // mapped dataset only builds on residency.
+  GANC_RETURN_NOT_OK(train.EnsureResident());
   if (config.top_n <= 0) {
     return Status::InvalidArgument("top_n must be positive");
   }

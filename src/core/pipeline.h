@@ -59,7 +59,8 @@ struct PipelineConfig {
 class GancPipeline {
  public:
   /// Builds the pipeline: (optionally) fits `base` on `train`, learns the
-  /// theta model, and wires the GANC components. `train` is borrowed.
+  /// theta model, and wires the GANC components. `train` is borrowed; a
+  /// mapped one is made resident first (RatingDataset::EnsureResident).
   static Result<std::unique_ptr<GancPipeline>> Create(
       std::unique_ptr<Recommender> base, const RatingDataset& train,
       PipelineConfig config);

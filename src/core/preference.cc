@@ -205,6 +205,7 @@ std::string PreferenceModelName(PreferenceModel model) {
 Result<std::vector<double>> ComputePreference(PreferenceModel model,
                                               const RatingDataset& train,
                                               uint64_t seed, double constant) {
+  GANC_RETURN_NOT_OK(train.EnsureResident());  // Popularity, UsersOf
   switch (model) {
     case PreferenceModel::kActivity:
       return ActivityPreference(train);

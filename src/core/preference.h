@@ -84,7 +84,8 @@ enum class PreferenceModel { kActivity, kNormalized, kTfidf, kGeneralized,
 /// Human-readable model name ("thetaG", ...).
 std::string PreferenceModelName(PreferenceModel model);
 
-/// Computes the chosen model on `train` (seed/constant used where needed).
+/// Computes the chosen model on `train` (seed/constant used where needed),
+/// making a mapped `train` resident first.
 Result<std::vector<double>> ComputePreference(PreferenceModel model,
                                               const RatingDataset& train,
                                               uint64_t seed = 11,

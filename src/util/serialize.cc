@@ -163,80 +163,43 @@ Status PayloadReader::SkipAlign(size_t alignment) {
   return Status::OK();
 }
 
-Status PayloadReader::ReadVecF64(std::vector<double>* out) {
+template <typename T, typename ReadOne>
+Status PayloadReader::ReadVec(std::vector<T>* out, ReadOne&& read_one) {
   uint64_t count = 0;
   GANC_RETURN_NOT_OK(ReadU64(&count));
-  if (count > remaining() / sizeof(double)) {  // divide: no u64 wrap
+  if (count > remaining() / sizeof(T)) {  // divide: no u64 wrap
     return Status::InvalidArgument("vector length exceeds section payload");
   }
   out->resize(count);
-  if constexpr (kGancHostIsLittleEndian) {
-    std::memcpy(out->data(), bytes_.data() + pos_, count * sizeof(double));
-    pos_ += count * sizeof(double);
+  if (count == 0) return Status::OK();
+  if constexpr (kGancHostIsLittleEndian || sizeof(T) == 1) {
+    std::memcpy(out->data(), bytes_.data() + pos_, count * sizeof(T));
+    pos_ += count * sizeof(T);
     return Status::OK();
   }
-  for (uint64_t i = 0; i < count; ++i) GANC_RETURN_NOT_OK(ReadF64(&(*out)[i]));
+  for (T& x : *out) GANC_RETURN_NOT_OK(read_one(&x));
   return Status::OK();
+}
+
+Status PayloadReader::ReadVecF64(std::vector<double>* out) {
+  return ReadVec(out, [this](double* x) { return ReadF64(x); });
 }
 
 Status PayloadReader::ReadVecF32(std::vector<float>* out) {
-  uint64_t count = 0;
-  GANC_RETURN_NOT_OK(ReadU64(&count));
-  if (count > remaining() / sizeof(float)) {  // divide: no u64 wrap
-    return Status::InvalidArgument("vector length exceeds section payload");
-  }
-  out->resize(count);
-  if constexpr (kGancHostIsLittleEndian) {
-    std::memcpy(out->data(), bytes_.data() + pos_, count * sizeof(float));
-    pos_ += count * sizeof(float);
-    return Status::OK();
-  }
-  for (uint64_t i = 0; i < count; ++i) GANC_RETURN_NOT_OK(ReadF32(&(*out)[i]));
-  return Status::OK();
+  return ReadVec(out, [this](float* x) { return ReadF32(x); });
 }
 
 Status PayloadReader::ReadVecI32(std::vector<int32_t>* out) {
-  uint64_t count = 0;
-  GANC_RETURN_NOT_OK(ReadU64(&count));
-  if (count > remaining() / sizeof(int32_t)) {  // divide: no u64 wrap
-    return Status::InvalidArgument("vector length exceeds section payload");
-  }
-  out->resize(count);
-  if constexpr (kGancHostIsLittleEndian) {
-    std::memcpy(out->data(), bytes_.data() + pos_, count * sizeof(int32_t));
-    pos_ += count * sizeof(int32_t);
-    return Status::OK();
-  }
-  for (uint64_t i = 0; i < count; ++i) GANC_RETURN_NOT_OK(ReadI32(&(*out)[i]));
-  return Status::OK();
+  return ReadVec(out, [this](int32_t* x) { return ReadI32(x); });
 }
 
 Status PayloadReader::ReadVecU64(std::vector<uint64_t>* out) {
-  uint64_t count = 0;
-  GANC_RETURN_NOT_OK(ReadU64(&count));
-  if (count > remaining() / sizeof(uint64_t)) {  // divide: no u64 wrap
-    return Status::InvalidArgument("vector length exceeds section payload");
-  }
-  out->resize(count);
-  if constexpr (kGancHostIsLittleEndian) {
-    std::memcpy(out->data(), bytes_.data() + pos_, count * sizeof(uint64_t));
-    pos_ += count * sizeof(uint64_t);
-    return Status::OK();
-  }
-  for (uint64_t i = 0; i < count; ++i) GANC_RETURN_NOT_OK(ReadU64(&(*out)[i]));
-  return Status::OK();
+  return ReadVec(out, [this](uint64_t* x) { return ReadU64(x); });
 }
 
 Status PayloadReader::ReadVecI8(std::vector<int8_t>* out) {
-  uint64_t count = 0;
-  GANC_RETURN_NOT_OK(ReadU64(&count));
-  if (count > remaining()) {
-    return Status::InvalidArgument("vector length exceeds section payload");
-  }
-  out->resize(count);
-  std::memcpy(out->data(), bytes_.data() + pos_, count);
-  pos_ += count;
-  return Status::OK();
+  // Single bytes always take ReadVec's memcpy path; nothing to decode.
+  return ReadVec(out, [](int8_t*) { return Status::OK(); });
 }
 
 Status PayloadReader::ExpectEnd() const {

@@ -194,6 +194,11 @@ class PayloadReader {
 
  private:
   Status Require(size_t n) const;
+  /// u64 count + elements: one memcpy on little-endian hosts (and for
+  /// single bytes), else `read_one` per element. Empty vectors copy
+  /// nothing, since their data() may be null.
+  template <typename T, typename ReadOne>
+  Status ReadVec(std::vector<T>* out, ReadOne&& read_one);
 
   std::string_view bytes_;
   size_t pos_ = 0;

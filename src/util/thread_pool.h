@@ -1,8 +1,9 @@
 // Fixed-size thread pool and a blocking ParallelFor helper.
 //
 // Used by the parallel phase of OSLG (users not in the sequential sample
-// are assigned top-N sets independently) and by matrix-factorization
-// training (Hogwild-style parallel SGD over rating blocks).
+// are assigned top-N sets independently) and by the blocked trainers,
+// whose deterministic per-user-block SGD and merge pipeline runs on a
+// pool's workers (see recommender/train_sweep.h).
 
 #ifndef GANC_UTIL_THREAD_POOL_H_
 #define GANC_UTIL_THREAD_POOL_H_

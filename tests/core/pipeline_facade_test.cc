@@ -1,6 +1,8 @@
 #include "core/pipeline.h"
 
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -98,6 +100,38 @@ TEST(PipelineFacadeTest, InvalidInputsRejected) {
   EXPECT_FALSE(GancPipeline::Create(std::make_unique<PopRecommender>(), train,
                                     {.top_n = 0})
                    .ok());
+}
+
+// Regression: Create over a mapped dataset that nobody made resident
+// used to read the unbuilt CSC index (a null Popularity read in the
+// theta model). It must make the dataset resident itself and match the
+// pipeline built on the eagerly loaded copy.
+TEST(PipelineFacadeTest, CreateOverNonResidentMappedDataset) {
+  const RatingDataset eager = Train();
+  const std::string path =
+      ::testing::TempDir() + "/pipeline_facade_mapped.gdc";
+  ASSERT_TRUE(eager.SaveBinaryFile(path).ok());
+  auto mapped = RatingDataset::LoadMappedFile(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  ASSERT_FALSE(mapped->ResidencyMaterialized());
+
+  const PipelineConfig config{.top_n = 5, .sample_size = 40};
+  auto want = GancPipeline::Create(
+      std::make_unique<PsvdRecommender>(PsvdConfig{.num_factors = 8}), eager,
+      config);
+  auto got = GancPipeline::Create(
+      std::make_unique<PsvdRecommender>(PsvdConfig{.num_factors = 8}),
+      *mapped, config);
+  ASSERT_TRUE(want.ok());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(mapped->ResidencyMaterialized());
+  EXPECT_EQ((*want)->theta(), (*got)->theta());
+  auto want_topn = (*want)->RecommendAll();
+  auto got_topn = (*got)->RecommendAll();
+  ASSERT_TRUE(want_topn.ok());
+  ASSERT_TRUE(got_topn.ok());
+  EXPECT_EQ(*want_topn, *got_topn);
+  std::remove(path.c_str());
 }
 
 TEST(PipelineFacadeTest, PrefittedBaseReused) {

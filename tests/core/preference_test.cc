@@ -1,6 +1,8 @@
 #include "core/preference.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -178,6 +180,27 @@ TEST(ComputePreferenceTest, DispatcherCoversAllModels) {
     ASSERT_TRUE(theta.ok()) << PreferenceModelName(m);
     EXPECT_EQ(theta->size(), static_cast<size_t>(ds.num_users()));
   }
+}
+
+// A mapped dataset has no CSC index until it is made resident; the
+// dispatcher must do that itself and match the eager result.
+TEST(ComputePreferenceTest, MappedNonResidentDatasetMatchesEager) {
+  const RatingDataset eager = SyntheticTrain();
+  const std::string path = ::testing::TempDir() + "/preference_mapped.gdc";
+  ASSERT_TRUE(eager.SaveBinaryFile(path).ok());
+  for (PreferenceModel m :
+       {PreferenceModel::kActivity, PreferenceModel::kNormalized,
+        PreferenceModel::kTfidf, PreferenceModel::kGeneralized}) {
+    auto mapped = RatingDataset::LoadMappedFile(path);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    ASSERT_FALSE(mapped->ResidencyMaterialized());
+    auto want = ComputePreference(m, eager);
+    auto got = ComputePreference(m, *mapped);
+    ASSERT_TRUE(want.ok()) << PreferenceModelName(m);
+    ASSERT_TRUE(got.ok()) << PreferenceModelName(m);
+    EXPECT_EQ(*want, *got) << PreferenceModelName(m);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(PreferenceModelNameTest, Names) {

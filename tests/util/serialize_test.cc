@@ -104,6 +104,36 @@ TEST(PayloadTest, VectorsRoundTripBitExactly) {
   EXPECT_EQ(ru64, u64);
 }
 
+// Empty vectors (a bias-free RSVD artifact writes three) round-trip
+// without passing a fresh vector's null data() to memcpy.
+TEST(PayloadTest, EmptyVectorsRoundTrip) {
+  PayloadWriter w;
+  w.WriteVecF64({});
+  w.WriteVecF32({});
+  w.WriteVecI32({});
+  w.WriteVecU64({});
+  w.WriteVecI8({});
+  ASSERT_EQ(w.buffer().size(), 5 * sizeof(uint64_t));
+
+  PayloadReader r(w.buffer());
+  std::vector<double> f64;
+  std::vector<float> f32;
+  std::vector<int32_t> i32;
+  std::vector<uint64_t> u64;
+  std::vector<int8_t> i8;
+  ASSERT_TRUE(r.ReadVecF64(&f64).ok());
+  ASSERT_TRUE(r.ReadVecF32(&f32).ok());
+  ASSERT_TRUE(r.ReadVecI32(&i32).ok());
+  ASSERT_TRUE(r.ReadVecU64(&u64).ok());
+  ASSERT_TRUE(r.ReadVecI8(&i8).ok());
+  ASSERT_TRUE(r.ExpectEnd().ok());
+  EXPECT_TRUE(f64.empty());
+  EXPECT_TRUE(f32.empty());
+  EXPECT_TRUE(i32.empty());
+  EXPECT_TRUE(u64.empty());
+  EXPECT_TRUE(i8.empty());
+}
+
 TEST(PayloadTest, UnderrunReported) {
   PayloadWriter w;
   w.WriteU32(7);
