@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -838,12 +839,13 @@ BENCHMARK(BM_ServeCacheHit);
 
 // --- Runtime-dispatched factor kernels -------------------------------
 //
-// ScoreBatchInto per dispatch variant x table precision — the committed
-// BENCH_kernel.json story. Registered dynamically (not via BENCHMARK)
-// because the variant set is a host property: only variants the CPU can
-// actually run are timed. Each benchmark pins its variant with
-// ForceKernelVariant and reports the resident factor-table bytes of the
-// precision it scores from.
+// ScoreBatchInto per dispatch variant x table precision, at batch 1 (a
+// lone live request: one item-lane block) and 64 (eight full user-lane
+// blocks) — the committed BENCH_kernel.json story. Registered
+// dynamically (not via BENCHMARK) because the variant set is a host
+// property: only variants the CPU can actually run are timed. Each
+// benchmark pins its variant with ForceKernelVariant and reports the
+// resident factor-table bytes of the precision it scores from.
 
 const FactorStore& KernelBenchStore(FactorPrecision precision) {
   // One fp64 table set (500 x 40 users, 800 x 40 items, serve-shaped)
@@ -885,7 +887,7 @@ void FactorScoreLoop(benchmark::State& state, KernelVariant variant,
   store.BindView(&view);
   view.num_items = static_cast<int32_t>(store.item_rows());
   const FactorScoringEngine engine(view);
-  const size_t batch = 64;
+  const size_t batch = static_cast<size_t>(state.range(0));
   const size_t ni = store.item_rows();
   ScoringContext ctx;
   std::vector<UserId> users(batch);
@@ -906,6 +908,52 @@ void FactorScoreLoop(benchmark::State& state, KernelVariant variant,
   ResetKernelDispatch();
 }
 
+// One fp64 block of 1..8 live users over a serve-sized catalog (20k
+// items, as in the benchmark's live-uniform corpus) at g = 10/48/100:
+// the sweep behind kItemLaneMaxUsers. Blocks of at most 4 users run
+// item-lane, so cost grows per live user; larger ones run user-lane and
+// cost the same at any fill. Reports the time per scored user.
+void FactorScoreLiveLoop(benchmark::State& state, KernelVariant variant) {
+  const size_t g = static_cast<size_t>(state.range(0));
+  const size_t live = static_cast<size_t>(state.range(1));
+  static auto* stores = new std::map<size_t, FactorStore>();
+  FactorStore& store = (*stores)[g];
+  if (store.item_rows() == 0) {
+    Rng rng(13);
+    const size_t nu = 64, ni = 20000;
+    std::vector<double> user(nu * g);
+    std::vector<double> item(ni * g);
+    for (double& x : user) x = rng.Uniform() - 0.5;
+    for (double& x : item) x = rng.Uniform() - 0.5;
+    store.AdoptFp64(std::move(user), std::move(item), nu, ni, g);
+  }
+  if (!ForceKernelVariant(variant).ok()) {
+    state.SkipWithError("variant unsupported on this host");
+    return;
+  }
+  FactorView view;
+  store.BindView(&view);
+  view.num_items = static_cast<int32_t>(store.item_rows());
+  const FactorScoringEngine engine(view);
+  ScoringContext ctx;
+  std::vector<UserId> users(live);
+  UserId u = 0;
+  for (auto _ : state) {
+    for (UserId& id : users) {
+      id = u;
+      u = (u + 1) % static_cast<UserId>(store.user_rows());
+    }
+    const std::span<double> out = ctx.BatchScores(live * store.item_rows());
+    engine.ScoreBatchInto(users, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["time_per_user"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * live),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  ResetKernelDispatch();
+}
+
 void RegisterFactorScoreBenchmarks() {
   for (const KernelVariant v : SupportedKernelVariants()) {
     for (const FactorPrecision p :
@@ -917,7 +965,18 @@ void RegisterFactorScoreBenchmarks() {
       benchmark::RegisterBenchmark(
           name.c_str(), [v, p](benchmark::State& state) {
             FactorScoreLoop(state, v, p);
-          });
+          })->Arg(1)->Arg(64);
+    }
+  }
+  for (const KernelVariant v : SupportedKernelVariants()) {
+    const std::string name =
+        std::string("BM_FactorScoreLive_") + KernelVariantName(v);
+    auto* bench = benchmark::RegisterBenchmark(
+        name.c_str(), [v](benchmark::State& state) {
+          FactorScoreLiveLoop(state, v);
+        });
+    for (const int64_t g : {10, 48, 100}) {
+      for (int64_t live = 1; live <= 8; ++live) bench->Args({g, live});
     }
   }
 }

@@ -17,10 +17,12 @@ namespace ganc {
 
 namespace {
 
-// Synthetic probe workload: two full user blocks against a catalog big
-// enough that q_i streaming dominates, small enough that the whole
-// probe (4 variants x 4 runs) costs single-digit milliseconds.
-constexpr size_t kProbeUsers = 2 * kFactorKernelUserBlock;
+// Synthetic probe workload: two full user blocks plus one lone user (the
+// item-lane shape a lightly loaded server scores most), timed in one
+// call, against a catalog big enough that q_i streaming dominates and
+// small enough that the whole probe (4 variants x 4 runs) costs
+// single-digit milliseconds.
+constexpr size_t kProbeUsers = 2 * kFactorKernelUserBlock + 1;
 constexpr size_t kProbeItems = 512;
 constexpr size_t kProbeFactors = 48;
 constexpr int kProbeRuns = 3;  // timed runs per variant; best-of wins

@@ -9,20 +9,35 @@
 //   1. cpuid gates which variants are *eligible* (compiled in AND the
 //      CPU reports the ISA), then
 //   2. a micro-probe times every eligible variant's fp64 kernel on a
-//      synthetic factor block and pins the fastest. Probing — not
-//      cpuid alone — is the selector because on virtualized hosts
-//      (including this repo's CI box, see BENCH_kernel.json) wide
-//      vectors can measurably lose to the scalar block.
+//      synthetic factor block (two full user blocks and one lone user,
+//      so both kernel shapes below count) and pins the fastest.
+//      Probing — not cpuid alone — is the selector because on
+//      virtualized hosts wide vectors can measurably lose to the scalar
+//      block, and the winner differs between runs on some hosts.
 //   3. A GANC_KERNEL=scalar|sse2|avx2|avx512 environment override skips
 //      the probe and pins that variant (tests/CI iterate it); naming a
 //      variant the host cannot run falls back to the probe with a
 //      warning.
 //
-// Every variant is bit-identical to the scalar reference at every
-// precision: fp64/fp32 kernels vectorize across the 8-lane user block
-// (each SIMD lane replays the scalar per-user accumulation sequence;
-// the kernel TUs are compiled with -ffp-contract=off so no variant
-// fuses the mul+add the scalar path keeps separate), and int8 kernels
+// Each variant scores a batch in blocks of kFactorKernelUserBlock users,
+// in one of two shapes (factor_kernels_impl.h):
+//   user-lane  the SIMD lanes hold the block's users and each item row
+//              is broadcast across them: the fast shape for full
+//              blocks, but a ragged block pays for every lane.
+//   item-lane  the lanes hold consecutive items, whose rows are
+//              transposed in registers and shared by every live user:
+//              cost grows with the live users, so a lone request no
+//              longer pays for a block of eight.
+// A block with at most half a block of live users runs item-lane (fp64
+// and fp32, when g is at least the variant's vector width; int8 is
+// always user-lane). The threshold is derived from the block size, not
+// configurable.
+//
+// Every variant, in both shapes, is bit-identical to the single-user
+// FactorScoringEngine::ScoreInto at every precision: fp64/fp32 lanes
+// each replay one (user, item) pair's reference accumulation sequence
+// (the kernel TUs are compiled with -ffp-contract=off so no variant
+// fuses the mul+add the reference keeps separate), and int8 kernels
 // compute an exact integer dot before the shared DequantDot combine.
 
 #ifndef GANC_RECOMMENDER_FACTOR_KERNELS_H_

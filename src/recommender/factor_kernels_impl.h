@@ -1,18 +1,34 @@
 // Internal: shared kernel templates + per-variant accessors for the
 // factor kernel TUs (factor_kernels*.cc). Not part of the public API.
 //
-// The SIMD variants share one template per precision, parameterized on
-// a traits struct that maps 8 user lanes onto the ISA's registers. The
-// templates are instantiated only inside the variant TUs, which are the
-// only TUs compiled with the matching ISA flags (see CMakeLists.txt) —
-// this header itself contains no intrinsics.
+// The SIMD variants share one template per precision and shape,
+// parameterized on a traits struct that maps a block of kU lanes onto
+// the ISA's registers: T::kRegs registers of T::kLanes lanes each. The
+// scalar variant keeps its own user-lane kernels and instantiates the
+// item-lane templates over one-lane traits. The templates are
+// instantiated only inside the variant TUs, which are the only TUs
+// compiled with the matching ISA flags (see CMakeLists.txt) — this
+// header itself contains no intrinsics.
 //
-// Bit-identity contract (vs the scalar reference kernel):
-//   fp64/fp32  each SIMD lane replays one user's scalar accumulation
-//              sequence exactly: same bias init, then one mul+add per
-//              factor in factor order. The kernel TUs compile with
-//              -ffp-contract=off so no variant fuses what the scalar
-//              path rounds twice.
+// Two shapes of fp64/fp32 kernel, chosen per block of kU users:
+//   user-lane  (BatchF64/F32) the kU lanes hold kU users; each item row
+//              is broadcast once and serves the whole block. A ragged
+//              block points its dead lanes at its first user, so it
+//              costs as much as a full one.
+//   item-lane  (ItemLaneF64/F32) the kU lanes hold kU consecutive
+//              items; item rows are transposed in registers and each
+//              transposed tile serves every live user. Cost grows with
+//              the live users, not with kU.
+// A block with at most kItemLaneMaxUsers live users runs item-lane (if
+// g >= T::kLanes, so a tile row fits inside an item row); every other
+// block, and all int8 blocks, run user-lane.
+//
+// Bit-identity contract (vs FactorScoringEngine::ScoreInto):
+//   fp64/fp32  every lane — user or item — replays one (user, item)
+//              pair's reference sequence exactly: bias terms first, then
+//              one mul+add per factor in factor order. The kernel TUs
+//              compile with -ffp-contract=off so no variant fuses what
+//              the reference rounds twice.
 //   int8       the q-by-q dot is integer (exact, order-free); the only
 //              float math is the shared DequantDot combine, evaluated
 //              by every variant through the same inline expression.
@@ -23,6 +39,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <type_traits>
+#include <utility>
 
 #include "recommender/factor_kernels.h"
 #include "util/aligned.h"
@@ -79,10 +97,223 @@ inline float BiasTermF32(float base, float bi) {
 }
 
 // ---------------------------------------------------------------------------
-// fp64: vectorized across the 8 user lanes. The block's user rows are
-// packed transposed ([factor][lane], a pure copy) so the inner loop is
-// one aligned lane-vector load + broadcast q_i[f] + mul + add — per
-// lane, exactly the scalar kernel's acc[b] += pu[b][f] * qf.
+// Item-lane kernels. Each live user adds its own multiply-adds to a
+// shared transpose, while a user-lane block costs the same at any fill,
+// so the shapes cross: the BM_FactorScoreLive sweep (bench/micro.cc,
+// g = 10/48/100) puts the crossing at 4-5 live users on scalar, SSE2
+// and AVX2 and at 7 or more on AVX-512. kU / 2 is the largest count at
+// which item lanes lose on no variant.
+inline constexpr size_t kItemLaneMaxUsers = kU / 2;
+
+// Calls fn(std::integral_constant<size_t, n>{}) for the runtime live-user
+// count n in [1, kItemLaneMaxUsers]: the count becomes a template
+// argument so each user's accumulators stay in registers.
+template <typename Fn>
+void WithLiveUsers(size_t n, Fn&& fn) {
+  [&]<size_t... I>(std::index_sequence<I...>) {
+    ((n == I + 1 ? (fn(std::integral_constant<size_t, I + 1>{}), true)
+                 : false) ||
+     ...);
+  }(std::make_index_sequence<kItemLaneMaxUsers>{});
+}
+
+// fp64 item lanes for a block of kUsers live users (out: their kUsers
+// batch-major rows). Each tile of kU items is read T::kLanesF64 factors
+// at a time: T::kRegsF64 row groups, each transposed in registers so
+// column k holds factor f0 + k of T::kLanesF64 items. Leftover factors
+// (g mod kLanes) re-read the last full-width tile, at g - kLanes, and
+// use only its trailing columns; leftover items (num_items mod kU) run
+// the reference's serial per-item chain.
+template <typename T, bool kHasItemBias, bool kHasUserBase, size_t kUsers>
+void ItemLaneF64(const FactorView& v, const UserId* users, double* out) {
+  using V = typename T::F64;
+  constexpr size_t kL = T::kLanesF64;
+  constexpr size_t kR = T::kRegsF64;
+  const size_t g = v.num_factors;
+  const size_t ni = static_cast<size_t>(v.num_items);
+  const double* pu[kUsers];
+  double base[kUsers];
+  for (size_t u = 0; u < kUsers; ++u) {
+    const size_t ub = static_cast<size_t>(users[u]);
+    pu[u] = v.user_factors + ub * g;
+    base[u] = kHasUserBase ? v.user_base[ub] : 0.0;
+  }
+  // acc[u][r] += col[r][k] * p_u[f0 + k] for k in [first, kL), in k
+  // order: per lane, the reference's next factor steps.
+  const auto mul_add = [&](V(&acc)[kUsers][kR], const V(&col)[kR][kL],
+                           size_t f0, size_t first) {
+    for (size_t k = 0; k < kL; ++k) {
+      if (k < first) continue;  // fixed bounds keep col[] in registers
+      for (size_t u = 0; u < kUsers; ++u) {
+        const V pf = T::BroadcastF64(pu[u][f0 + k]);
+        for (size_t r = 0; r < kR; ++r) {
+          acc[u][r] = T::MulAddF64(acc[u][r], col[r][k], pf);
+        }
+      }
+    }
+  };
+  size_t i0 = 0;
+  for (; i0 + kU <= ni; i0 += kU) {
+    const double* q = v.item_factors + i0 * g;
+    V acc[kUsers][kR];
+    for (size_t r = 0; r < kR; ++r) {
+      V bi = T::ZeroF64();
+      if constexpr (kHasItemBias) bi = T::LoadUF64(v.item_bias + i0 + r * kL);
+      for (size_t u = 0; u < kUsers; ++u) {
+        if constexpr (kHasItemBias && kHasUserBase) {
+          acc[u][r] = T::AddF64(T::BroadcastF64(base[u]), bi);
+        } else if constexpr (kHasUserBase) {
+          acc[u][r] = T::BroadcastF64(base[u]);
+        } else {
+          acc[u][r] = bi;
+        }
+      }
+    }
+    size_t f0 = 0;
+    for (; f0 + kL <= g; f0 += kL) {
+      V col[kR][kL];
+      for (size_t r = 0; r < kR; ++r) {
+        T::LoadTransposedF64(q + r * kL * g + f0, g, col[r]);
+      }
+      mul_add(acc, col, f0, 0);
+    }
+    if (f0 < g) {
+      V col[kR][kL];
+      for (size_t r = 0; r < kR; ++r) {
+        T::LoadTransposedF64(q + r * kL * g + (g - kL), g, col[r]);
+      }
+      mul_add(acc, col, g - kL, kL - (g - f0));
+    }
+    for (size_t u = 0; u < kUsers; ++u) {
+      for (size_t r = 0; r < kR; ++r) {
+        T::StoreUF64(out + u * ni + i0 + r * kL, acc[u][r]);
+      }
+    }
+  }
+  for (size_t u = 0; u < kUsers; ++u) {
+    for (size_t i = i0; i < ni; ++i) {
+      const double* qi = v.item_factors + i * g;
+      double acc = BiasTermF64<kHasItemBias, kHasUserBase>(
+          base[u], kHasItemBias ? v.item_bias[i] : 0.0);
+      for (size_t f = 0; f < g; ++f) acc += pu[u][f] * qi[f];
+      out[u * ni + i] = acc;
+    }
+  }
+}
+
+// fp32 item lanes: the fp64 shape with float lanes. Item biases narrow
+// to float lane-wise (T::NarrowLoadF32), results widen back to double
+// on the way out (T::WidenStoreF32).
+template <typename T, bool kHasItemBias, bool kHasUserBase, size_t kUsers>
+void ItemLaneF32(const FactorView& v, const UserId* users, double* out) {
+  using V = typename T::F32;
+  constexpr size_t kL = T::kLanesF32;
+  constexpr size_t kR = T::kRegsF32;
+  const size_t g = v.num_factors;
+  const size_t ni = static_cast<size_t>(v.num_items);
+  const float* pu[kUsers];
+  float base[kUsers];
+  for (size_t u = 0; u < kUsers; ++u) {
+    const size_t ub = static_cast<size_t>(users[u]);
+    pu[u] = v.user_factors_f32 + ub * g;
+    base[u] = kHasUserBase ? static_cast<float>(v.user_base[ub]) : 0.0f;
+  }
+  const auto mul_add = [&](V(&acc)[kUsers][kR], const V(&col)[kR][kL],
+                           size_t f0, size_t first) {
+    for (size_t k = 0; k < kL; ++k) {
+      if (k < first) continue;  // fixed bounds keep col[] in registers
+      for (size_t u = 0; u < kUsers; ++u) {
+        const V pf = T::BroadcastF32(pu[u][f0 + k]);
+        for (size_t r = 0; r < kR; ++r) {
+          acc[u][r] = T::MulAddF32(acc[u][r], col[r][k], pf);
+        }
+      }
+    }
+  };
+  size_t i0 = 0;
+  for (; i0 + kU <= ni; i0 += kU) {
+    const float* q = v.item_factors_f32 + i0 * g;
+    V acc[kUsers][kR];
+    for (size_t r = 0; r < kR; ++r) {
+      V bi = T::ZeroF32();
+      if constexpr (kHasItemBias) {
+        bi = T::NarrowLoadF32(v.item_bias + i0 + r * kL);
+      }
+      for (size_t u = 0; u < kUsers; ++u) {
+        if constexpr (kHasItemBias && kHasUserBase) {
+          acc[u][r] = T::AddF32(T::BroadcastF32(base[u]), bi);
+        } else if constexpr (kHasUserBase) {
+          acc[u][r] = T::BroadcastF32(base[u]);
+        } else {
+          acc[u][r] = bi;
+        }
+      }
+    }
+    size_t f0 = 0;
+    for (; f0 + kL <= g; f0 += kL) {
+      V col[kR][kL];
+      for (size_t r = 0; r < kR; ++r) {
+        T::LoadTransposedF32(q + r * kL * g + f0, g, col[r]);
+      }
+      mul_add(acc, col, f0, 0);
+    }
+    if (f0 < g) {
+      V col[kR][kL];
+      for (size_t r = 0; r < kR; ++r) {
+        T::LoadTransposedF32(q + r * kL * g + (g - kL), g, col[r]);
+      }
+      mul_add(acc, col, g - kL, kL - (g - f0));
+    }
+    for (size_t u = 0; u < kUsers; ++u) {
+      for (size_t r = 0; r < kR; ++r) {
+        T::WidenStoreF32(out + u * ni + i0 + r * kL, acc[u][r]);
+      }
+    }
+  }
+  for (size_t u = 0; u < kUsers; ++u) {
+    for (size_t i = i0; i < ni; ++i) {
+      const float* qi = v.item_factors_f32 + i * g;
+      float acc = BiasTermF32<kHasItemBias, kHasUserBase>(
+          base[u], kHasItemBias ? static_cast<float>(v.item_bias[i]) : 0.0f);
+      for (size_t f = 0; f < g; ++f) acc += pu[u][f] * qi[f];
+      out[u * ni + i] = static_cast<double>(acc);
+    }
+  }
+}
+
+// Scores the block of bn users starting at users[b0] item-lane when it
+// qualifies (few live users, g at least one vector of factors) and
+// returns true; false leaves the block to the caller's user-lane kernel.
+template <typename T, bool kHasItemBias, bool kHasUserBase>
+bool TryItemLaneF64(const FactorView& v, std::span<const UserId> users,
+                    size_t b0, size_t bn, std::span<double> out) {
+  if (bn > kItemLaneMaxUsers || v.num_factors < T::kLanesF64) return false;
+  double* rows = out.data() + b0 * static_cast<size_t>(v.num_items);
+  WithLiveUsers(bn, [&](auto n) {
+    ItemLaneF64<T, kHasItemBias, kHasUserBase, decltype(n)::value>(
+        v, users.data() + b0, rows);
+  });
+  return true;
+}
+
+template <typename T, bool kHasItemBias, bool kHasUserBase>
+bool TryItemLaneF32(const FactorView& v, std::span<const UserId> users,
+                    size_t b0, size_t bn, std::span<double> out) {
+  if (bn > kItemLaneMaxUsers || v.num_factors < T::kLanesF32) return false;
+  double* rows = out.data() + b0 * static_cast<size_t>(v.num_items);
+  WithLiveUsers(bn, [&](auto n) {
+    ItemLaneF32<T, kHasItemBias, kHasUserBase, decltype(n)::value>(
+        v, users.data() + b0, rows);
+  });
+  return true;
+}
+
+// ---------------------------------------------------------------------------
+// fp64 user lanes: vectorized across the kU users of a block. The
+// block's user rows are packed transposed ([factor][lane], a pure copy)
+// so the inner loop is one aligned lane-vector load + broadcast q_i[f] +
+// mul + add — per lane, exactly the reference's acc += pu[f] * qi[f].
+// Blocks with few live users go to the item-lane kernel instead.
 
 template <typename T, bool kHasItemBias, bool kHasUserBase>
 void BatchF64(const FactorView& v, std::span<const UserId> users,
@@ -97,6 +328,9 @@ void BatchF64(const FactorView& v, std::span<const UserId> users,
 
   for (size_t b0 = 0; b0 < batch; b0 += kU) {
     const size_t bn = std::min(kU, batch - b0);
+    if (TryItemLaneF64<T, kHasItemBias, kHasUserBase>(v, users, b0, bn, out)) {
+      continue;
+    }
     double* o[kU];
     for (size_t b = 0; b < kU; ++b) {
       const size_t lane = b < bn ? b : 0;
@@ -159,6 +393,9 @@ void BatchF32(const FactorView& v, std::span<const UserId> users,
 
   for (size_t b0 = 0; b0 < batch; b0 += kU) {
     const size_t bn = std::min(kU, batch - b0);
+    if (TryItemLaneF32<T, kHasItemBias, kHasUserBase>(v, users, b0, bn, out)) {
+      continue;
+    }
     double* o[kU];
     for (size_t b = 0; b < kU; ++b) {
       const size_t lane = b < bn ? b : 0;

@@ -1,8 +1,9 @@
-// Scalar reference kernels: the PR 2 register-blocked 8-user fp64
-// kernel (moved here verbatim from factor_scoring_engine.cc), plus its
-// fp32 and int8 counterparts. Every SIMD variant is defined as
-// bit-identical to this TU; it is compiled with -ffp-contract=off so
-// the reference itself never fuses a mul+add (see CMakeLists.txt).
+// Scalar kernel variant, the one every target can run (the only one off
+// x86): the register-blocked 8-user kernels (user lanes) for fp64, fp32
+// and int8, and for blocks of few live users the shared item-lane
+// templates over ScalarTraits, whose lanes are plain doubles/floats —
+// kU independent per-item chains. Compiled with -ffp-contract=off (see
+// CMakeLists.txt) like every kernel TU, so no mul+add is fused.
 
 #include <algorithm>
 #include <cstdint>
@@ -13,6 +14,36 @@
 namespace ganc {
 namespace internal {
 namespace {
+
+// The item-lane half of the traits interface (factor_kernels_impl.h):
+// kU "registers" of one lane, so a tile is kU items by one factor.
+struct ScalarTraits {
+  using F64 = double;
+  static constexpr size_t kRegsF64 = kU;
+  static constexpr size_t kLanesF64 = 1;
+  static F64 LoadUF64(const double* p) { return *p; }
+  static void StoreUF64(double* p, F64 v) { *p = v; }
+  static F64 BroadcastF64(double x) { return x; }
+  static F64 AddF64(F64 a, F64 b) { return a + b; }
+  static F64 MulAddF64(F64 acc, F64 a, F64 b) { return acc + a * b; }
+  static F64 ZeroF64() { return 0.0; }
+  static void LoadTransposedF64(const double* p, size_t, F64* cols) {
+    cols[0] = *p;
+  }
+
+  using F32 = float;
+  static constexpr size_t kRegsF32 = kU;
+  static constexpr size_t kLanesF32 = 1;
+  static F32 BroadcastF32(float x) { return x; }
+  static F32 AddF32(F32 a, F32 b) { return a + b; }
+  static F32 MulAddF32(F32 acc, F32 a, F32 b) { return acc + a * b; }
+  static F32 ZeroF32() { return 0.0f; }
+  static void LoadTransposedF32(const float* p, size_t, F32* cols) {
+    cols[0] = *p;
+  }
+  static F32 NarrowLoadF32(const double* p) { return static_cast<float>(*p); }
+  static void WidenStoreF32(double* p, F32 v) { *p = static_cast<double>(v); }
+};
 
 // The fp64 batch micro-kernel, specialized at compile time on which
 // optional terms exist: with the flags folded, the no-bias
@@ -27,6 +58,10 @@ void ScalarBatchF64(const FactorView& v, std::span<const UserId> users,
 
   for (size_t b0 = 0; b0 < batch; b0 += kU) {
     const size_t bn = std::min(kU, batch - b0);
+    if (TryItemLaneF64<ScalarTraits, kHasItemBias, kHasUserBase>(v, users, b0,
+                                                                 bn, out)) {
+      continue;
+    }
     // A ragged final block keeps the inner loops fixed-width by pointing
     // the dead lanes at the block's first user; only live lanes store.
     const double* pu[kU];
@@ -81,6 +116,10 @@ void ScalarBatchF32(const FactorView& v, std::span<const UserId> users,
 
   for (size_t b0 = 0; b0 < batch; b0 += kU) {
     const size_t bn = std::min(kU, batch - b0);
+    if (TryItemLaneF32<ScalarTraits, kHasItemBias, kHasUserBase>(v, users, b0,
+                                                                 bn, out)) {
+      continue;
+    }
     const float* pu[kU];
     double* o[kU];
     float base[kU];

@@ -18,13 +18,22 @@ struct Sse2Traits {
   static constexpr size_t kRegsF64 = 4;
   static constexpr size_t kLanesF64 = 2;
   static F64 LoadF64(const double* p) { return _mm_load_pd(p); }
+  static F64 LoadUF64(const double* p) { return _mm_loadu_pd(p); }
   static void StoreF64(double* p, F64 v) { _mm_store_pd(p, v); }
+  static void StoreUF64(double* p, F64 v) { _mm_storeu_pd(p, v); }
   static F64 BroadcastF64(double x) { return _mm_set1_pd(x); }
   static F64 AddF64(F64 a, F64 b) { return _mm_add_pd(a, b); }
   static F64 MulAddF64(F64 acc, F64 a, F64 b) {
     return _mm_add_pd(acc, _mm_mul_pd(a, b));
   }
   static F64 ZeroF64() { return _mm_setzero_pd(); }
+  // cols[k] lane l = p[l * stride + k]: the 2x2 transpose.
+  static void LoadTransposedF64(const double* p, size_t stride, F64* cols) {
+    const F64 r0 = _mm_loadu_pd(p);
+    const F64 r1 = _mm_loadu_pd(p + stride);
+    cols[0] = _mm_unpacklo_pd(r0, r1);
+    cols[1] = _mm_unpackhi_pd(r0, r1);
+  }
 
   using F32 = __m128;
   static constexpr size_t kRegsF32 = 2;
@@ -37,6 +46,26 @@ struct Sse2Traits {
     return _mm_add_ps(acc, _mm_mul_ps(a, b));
   }
   static F32 ZeroF32() { return _mm_setzero_ps(); }
+  // cols[k] lane l = p[l * stride + k]: the 4x4 transpose.
+  static void LoadTransposedF32(const float* p, size_t stride, F32* cols) {
+    F32 r0 = _mm_loadu_ps(p);
+    F32 r1 = _mm_loadu_ps(p + stride);
+    F32 r2 = _mm_loadu_ps(p + 2 * stride);
+    F32 r3 = _mm_loadu_ps(p + 3 * stride);
+    _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+    cols[0] = r0;
+    cols[1] = r1;
+    cols[2] = r2;
+    cols[3] = r3;
+  }
+  static F32 NarrowLoadF32(const double* p) {
+    return _mm_movelh_ps(_mm_cvtpd_ps(_mm_loadu_pd(p)),
+                         _mm_cvtpd_ps(_mm_loadu_pd(p + 2)));
+  }
+  static void WidenStoreF32(double* p, F32 v) {
+    _mm_storeu_pd(p, _mm_cvtps_pd(v));
+    _mm_storeu_pd(p + 2, _mm_cvtps_pd(_mm_movehl_ps(v, v)));
+  }
 
   using I32 = __m128i;
   static constexpr size_t kRegsI32 = 2;

@@ -28,6 +28,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <span>
 #include <thread>
 #include <vector>
@@ -56,7 +57,9 @@ class ScoringContext {
   /// The primary candidate-id buffer (UnratedItemsInto target).
   std::vector<ItemId>& Candidates() { return Items(0); }
 
-  /// A numbered item-id scratch vector (cleared by the consumer).
+  /// A numbered item-id scratch vector (cleared by the consumer). The
+  /// reference stays valid across later Items() calls for other slots,
+  /// so a consumer may hold several slots at once.
   std::vector<ItemId>& Items(size_t slot);
 
   /// The batch-major score buffer of the blocked scoring path, resized to
@@ -118,7 +121,8 @@ class ScoringContext {
   std::vector<AlignedVector<double>> buffers_;
   AlignedVector<double> batch_scores_;
   std::vector<UserId> batch_users_;
-  std::vector<std::vector<ItemId>> items_;
+  // A deque: growing it for a new slot never moves the existing ones.
+  std::deque<std::vector<ItemId>> items_;
   std::vector<ScoredItem> top_k_;
   std::vector<uint8_t> flags_;
   std::vector<size_t> indices_;

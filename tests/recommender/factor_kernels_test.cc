@@ -1,9 +1,10 @@
 // Dispatch suite for the runtime-selected SIMD scoring kernels: every
-// host-supported variant (scalar, SSE2, AVX2, AVX-512) must produce
-// bit-identical batch scores at every factor precision — fp64/fp32
-// because each SIMD lane replays the scalar per-user accumulation
-// sequence with contraction disabled, int8 because the integer dot is
-// exact and every variant shares the DequantDot combine.
+// host-supported variant (scalar, SSE2, AVX2, AVX-512), in both the
+// user-lane and the item-lane shape, must reproduce the single-user
+// ScoreInto scores bit for bit at every factor precision — fp64/fp32
+// because each lane replays the reference accumulation sequence with
+// contraction disabled, int8 because the integer dot is exact and every
+// variant shares the DequantDot combine.
 
 #include "recommender/factor_kernels.h"
 
@@ -163,37 +164,46 @@ TEST(FactorKernelsTest, ProbeSelectionTimesEverySupportedVariant) {
   }
 }
 
-// The tentpole contract on synthetic tables: every supported variant,
-// every precision, every bias combination, factor counts that exercise
-// full registers and remainders, batch sizes that exercise full and
-// ragged user blocks — all bit-identical to the scalar reference.
-TEST(FactorKernelsTest, AllVariantsBitIdenticalToScalarOnSyntheticViews) {
+// The contract on synthetic tables: every supported variant, every
+// precision, every bias combination, bit-identical to the single-user
+// ScoreInto path (which no dispatch reaches). Factor counts cover one
+// lane, a partial and an exact transpose tile on each vector width, and
+// remainders after full tiles; item counts cover no full item tile (5),
+// full tiles plus a tail (57) and no tail (64); batch sizes cover the
+// item-lane blocks (1-4 live users), ragged and full user-lane blocks,
+// and a trailing lone user after full blocks (9, 17).
+TEST(FactorKernelsTest, AllVariantsBitIdenticalToScoreIntoOnSyntheticViews) {
   DispatchGuard guard;
   const std::vector<KernelVariant> variants = SupportedKernelVariants();
   const int32_t nu = 21;
-  const int32_t ni = 57;
   for (const FactorPrecision precision :
        {FactorPrecision::kFp64, FactorPrecision::kFp32,
         FactorPrecision::kInt8}) {
-    for (const size_t g : {1u, 7u, 8u, 48u}) {
-      const SyntheticFactors f = MakeFactors(nu, ni, g, precision);
-      for (const bool with_bias : {false, true}) {
-        for (const bool with_base : {false, true}) {
-          const FactorView view = f.View(with_bias, with_base);
-          for (const size_t batch : {1u, 8u, 13u}) {
-            const std::vector<UserId> users = RaggedBatch(nu, batch);
-            const std::vector<double> reference =
-                ScoreWith(KernelVariant::kScalar, view, users);
-            for (const KernelVariant v : variants) {
-              if (v == KernelVariant::kScalar) continue;
-              const std::vector<double> scores = ScoreWith(v, view, users);
-              ASSERT_EQ(reference.size(), scores.size());
-              for (size_t i = 0; i < reference.size(); ++i) {
-                ASSERT_EQ(reference[i], scores[i])
-                    << KernelVariantName(v) << " precision "
-                    << FactorPrecisionName(precision) << " g=" << g
-                    << " bias=" << with_bias << " base=" << with_base
-                    << " batch=" << batch << " index " << i;
+    for (const size_t g : {1u, 3u, 4u, 7u, 8u, 9u, 10u, 48u, 100u}) {
+      for (const int32_t ni : {5, 57, 64}) {
+        const SyntheticFactors f = MakeFactors(nu, ni, g, precision);
+        for (const bool with_bias : {false, true}) {
+          for (const bool with_base : {false, true}) {
+            const FactorView view = f.View(with_bias, with_base);
+            const FactorScoringEngine engine(view);
+            std::vector<double> reference(static_cast<size_t>(ni));
+            for (const size_t batch :
+                 {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 15u, 16u, 17u}) {
+              const std::vector<UserId> users = RaggedBatch(nu, batch);
+              for (const KernelVariant v : variants) {
+                const std::vector<double> scores = ScoreWith(v, view, users);
+                ASSERT_EQ(scores.size(), batch * reference.size());
+                for (size_t b = 0; b < batch; ++b) {
+                  engine.ScoreInto(users[b], reference);
+                  for (size_t i = 0; i < reference.size(); ++i) {
+                    ASSERT_EQ(reference[i], scores[b * reference.size() + i])
+                        << KernelVariantName(v) << " precision "
+                        << FactorPrecisionName(precision) << " g=" << g
+                        << " items=" << ni << " bias=" << with_bias
+                        << " base=" << with_base << " batch=" << batch
+                        << " user " << b << " item " << i;
+                  }
+                }
               }
             }
           }

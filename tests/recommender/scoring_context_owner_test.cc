@@ -27,6 +27,21 @@ TEST(ScoringContextOwnerTest, SameThreadReuseIsFine) {
   SUCCEED();
 }
 
+// RbtReranker holds Items(1) while it asks for Items(2): a slot must
+// keep its address when a later call adds slots.
+TEST(ScoringContextOwnerTest, ItemSlotsKeepTheirAddressWhenSlotsAreAdded) {
+  ScoringContext ctx;
+  std::vector<ItemId>& head = ctx.Candidates();
+  head.assign({3, 1, 4});
+  std::vector<ItemId>* slots[4] = {&head};
+  for (size_t slot = 1; slot < 4; ++slot) slots[slot] = &ctx.Items(slot * 8);
+  for (size_t slot = 1; slot < 4; ++slot) {
+    EXPECT_EQ(slots[slot], &ctx.Items(slot * 8)) << "slot " << slot * 8;
+  }
+  EXPECT_EQ(&head, &ctx.Candidates());
+  EXPECT_EQ(head, (std::vector<ItemId>{3, 1, 4}));
+}
+
 TEST(ScoringContextOwnerTest, BindsToFirstUsingThreadNotConstructor) {
   // Constructing on one thread and using on another is allowed — the
   // chunked parallel loops construct per-chunk contexts wherever the

@@ -1176,8 +1176,10 @@ int Kernels(const Flags& flags) {
   }
   const KernelVariant active = ActiveKernelVariant();
   const std::vector<double> probe = KernelProbeNsPerUser();
-  std::printf("scoring kernel dispatch (block of %zu users):\n",
-              kFactorKernelUserBlock);
+  std::printf(
+      "scoring kernel dispatch (probe: 2 blocks of %zu users + 1 lone "
+      "user):\n",
+      kFactorKernelUserBlock);
   for (size_t i = 0; i < kNumKernelVariants; ++i) {
     const KernelVariant v = static_cast<KernelVariant>(i);
     std::printf("  %-7s %-11s", KernelVariantName(v),

@@ -49,6 +49,7 @@
 #include <csignal>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -946,6 +947,10 @@ Result<int> StartListener(Listener& listener, Server& server, int port) {
         close(fd);
         return;
       }
+      // Each reply leaves in one write, so Nagle's algorithm can only
+      // hold it back until the client's delayed ACK (tens of ms).
+      const int nodelay = 1;
+      setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
       std::lock_guard<std::mutex> lock(listener.mu);
       // Reap finished connections so a long-running server holds
       // resources proportional to *concurrent* clients, not total ones.
