@@ -233,6 +233,26 @@ std::string FormatFramedHeader(std::string_view what, size_t lines) {
   return out;
 }
 
+std::string FramedResponse(std::string_view what, std::string_view payload) {
+  size_t lines = 0;
+  for (const char c : payload) lines += c == '\n';
+  std::string out = FormatFramedHeader(what, lines);
+  if (!payload.empty()) {
+    out.push_back('\n');
+    out.append(payload.data(), payload.size() - 1);  // drop trailing '\n'
+  }
+  return out;
+}
+
+bool ParseFramedLineCount(std::string_view header, uint64_t* out) {
+  const size_t pos = header.rfind(" lines=");
+  if (pos == std::string_view::npos) return false;
+  const char* begin = header.data() + pos + 7;
+  const char* end = header.data() + header.size();
+  const auto [ptr, ec] = std::from_chars(begin, end, *out);
+  return ec == std::errc{} && ptr == end && begin != end;
+}
+
 std::string FormatError(std::string_view message) {
   std::string out = "ERR ";
   out += std::string(message);

@@ -107,6 +107,14 @@ std::string FormatOk(std::string_view body);
 /// by METRICS ("metrics") and TRACE ("traces").
 std::string FormatFramedHeader(std::string_view what, size_t lines);
 
+/// A whole framed response: the "OK <what> lines=<N>" header, then
+/// `payload` (N newline-terminated lines). The result carries embedded
+/// newlines but no trailing one, like every other response.
+std::string FramedResponse(std::string_view what, std::string_view payload);
+
+/// Extracts N from a framed "OK <what> lines=<N>" header.
+bool ParseFramedLineCount(std::string_view header, uint64_t* out);
+
 /// "ERR <message>" (newlines in the message are replaced so the
 /// response stays one line).
 std::string FormatError(std::string_view message);

@@ -112,9 +112,11 @@ Status ServiceShard::Publish(const std::string& path) {
         ->Increment();
     return fresh.status();
   }
-  std::shared_ptr<RecommendationService> replaced = service_.exchange(
-      std::shared_ptr<RecommendationService>(std::move(fresh).value()),
-      std::memory_order_acq_rel);
+  std::shared_ptr<RecommendationService> replaced(std::move(fresh).value());
+  {
+    std::lock_guard<std::mutex> lock(service_mu_);
+    service_.swap(replaced);
+  }
   ++published_;
   registry
       .GetCounter("serve_publishes_total",

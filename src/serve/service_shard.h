@@ -3,18 +3,21 @@
 //
 // A shard wraps everything PR 5 called "the service" — snapshot, result
 // cache, precomputed-store segment, micro-batcher — as one swappable
-// unit behind a stable ownership contract: the shard owns an
-// std::atomic<std::shared_ptr<RecommendationService>> and every request
-// pins the pointer once at entry, so a request runs start-to-finish
-// against exactly one snapshot no matter how many Publish calls land
-// mid-flight. Publish loads the replacement artifact in the background
-// (same train set, fingerprint validated by the artifact loader),
-// atomically exchanges the pointer, and parks the old service until its
-// last in-flight request releases it — the old MicroBatcher's
-// destructor drains its queue, so no request is dropped, and the
-// version-keyed result cache (serve/result_cache.h) invalidates
-// implicitly because the replacement service carries a fresh
-// snapshot_version. Nothing on the request path takes the publish lock.
+// unit behind a stable ownership contract: the shard owns a
+// std::shared_ptr<RecommendationService> guarded by a mutex, and every
+// request pins (copies) the pointer once at entry, so a request runs
+// start-to-finish against exactly one snapshot no matter how many
+// Publish calls land mid-flight. Publish loads the replacement artifact
+// in the background (same train set, fingerprint validated by the
+// artifact loader), swaps the pointer under the same mutex — a
+// critical section of one shared_ptr copy or swap, which a sanitizer
+// can see, unlike libstdc++'s lock-bit atomic<shared_ptr> — and parks
+// the old service until its last in-flight request releases it — the
+// old MicroBatcher's destructor drains its queue, so no request is
+// dropped, and the version-keyed result cache (serve/result_cache.h)
+// invalidates implicitly because the replacement service carries a
+// fresh snapshot_version. Nothing on the request path takes the publish
+// lock.
 //
 // Sharding: ownership is ShardForUser(user) == spec.index, a fixed
 // splitmix64-style hash of the user id. The hash is a persisted
@@ -32,7 +35,6 @@
 #ifndef GANC_SERVE_SERVICE_SHARD_H_
 #define GANC_SERVE_SERVICE_SHARD_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -152,7 +154,8 @@ class ServiceShard {
                ServiceConfig config);
 
   std::shared_ptr<RecommendationService> Pin() const {
-    return service_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(service_mu_);
+    return service_;
   }
 
   /// Folds retired services whose last pin has been released into
@@ -165,7 +168,8 @@ class ServiceShard {
   const ServiceConfig config_;
   const int32_t num_users_;
 
-  std::atomic<std::shared_ptr<RecommendationService>> service_;
+  mutable std::mutex service_mu_;  ///< guards the service_ pointer only
+  std::shared_ptr<RecommendationService> service_;
 
   mutable std::mutex publish_mu_;  ///< serializes Publish (load + swap)
   uint64_t published_ = 0;

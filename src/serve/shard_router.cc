@@ -76,13 +76,25 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::FromShards(
   return std::unique_ptr<ShardRouter>(new ShardRouter(std::move(shards)));
 }
 
+Result<std::unique_ptr<ShardRouter>> ShardRouter::ForPartition(
+    std::unique_ptr<ServiceShard> shard) {
+  if (shard == nullptr) {
+    return Status::InvalidArgument("router needs at least one shard");
+  }
+  std::vector<std::unique_ptr<ServiceShard>> shards;
+  shards.push_back(std::move(shard));
+  return std::unique_ptr<ShardRouter>(new ShardRouter(std::move(shards)));
+}
+
 Status ShardRouter::Publish(const std::string& path, uint64_t* max_version) {
   uint64_t max_v = 0;
   for (size_t i = 0; i < shards_.size(); ++i) {
     const Status status = shards_[i]->Publish(path);
     if (!status.ok()) {
-      return Prefixed(status, "publish failed on shard " + std::to_string(i) +
-                                  "/" + std::to_string(shards_.size()) + ": ");
+      const ShardSpec spec = shards_[i]->spec();
+      return Prefixed(status, "publish failed on shard " +
+                                  std::to_string(spec.index) + "/" +
+                                  std::to_string(spec.num_shards) + ": ");
     }
     const uint64_t v = shards_[i]->version();
     if (v > max_v) max_v = v;

@@ -16,8 +16,9 @@
 // cross-shard version agreement). The error names the failing shard.
 //
 // The multi-process analogue (children driven over the wire protocol)
-// lives in tools/ganc_serve.cc; this class is the in-process tier that
-// both single-binary serving and the replay harness use.
+// is serve/process_router.h; this class is the in-process tier that
+// single-binary serving, each shard child and the replay harness serve
+// the protocol over (through serve/frontend.h).
 
 #ifndef GANC_SERVE_SHARD_ROUTER_H_
 #define GANC_SERVE_SHARD_ROUTER_H_
@@ -50,6 +51,11 @@ class ShardRouter {
   static Result<std::unique_ptr<ShardRouter>> FromShards(
       std::vector<std::unique_ptr<ServiceShard>> shards);
 
+  /// Wraps the one shard a `--shard=k/N` child serves: every request
+  /// routes to it, and it rejects the in-range users it does not own.
+  static Result<std::unique_ptr<ShardRouter>> ForPartition(
+      std::unique_ptr<ServiceShard> shard);
+
   size_t num_shards() const { return shards_.size(); }
 
   /// The shard `user` routes to: its hash owner for in-range ids,
@@ -76,7 +82,8 @@ class ShardRouter {
   /// Publishes `path` to every shard in index order. On success
   /// `max_version` (if non-null) receives the highest resulting
   /// snapshot version. On failure the error names the first failing
-  /// shard; earlier shards keep the new snapshot, later ones the old.
+  /// shard by its spec ("shard k/N"); earlier shards keep the new
+  /// snapshot, later ones the old.
   Status Publish(const std::string& path, uint64_t* max_version = nullptr);
 
   /// Attaches each shard's segment of the full store.
