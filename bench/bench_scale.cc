@@ -4,7 +4,7 @@
 //
 //   * streaming corpus generation time (O(users) memory),
 //   * model fit time over the mapped cache,
-//   * cold-load-to-first-request latency, mapped vs eager,
+//   * cold-load-to-first-request latency, mapped vs read() ("eager"),
 //   * store-backed serve throughput,
 //   * peak RSS of the serving process, mapped vs eager.
 //
@@ -147,7 +147,8 @@ int PhaseTrain(const std::string& dir, int64_t users, bool mmap) {
 
 // Cold start to first answered request, then store-backed throughput —
 // the serving process the harness actually cares about. `mmap` toggles
-// every artifact load between the mapped and the eager path.
+// every artifact load between a file mapping and a read() into memory
+// (the "eager" mode).
 int PhaseServe(const std::string& dir, int64_t users, bool mmap) {
   WallTimer cold;
   auto train = RatingDataset::LoadFileAuto(CachePath(dir, users), mmap);

@@ -117,12 +117,11 @@ Status GancPipeline::SaveFile(const std::string& path) const {
 }
 
 Result<std::unique_ptr<GancPipeline>> GancPipeline::Load(
-    std::istream& is, const RatingDataset& train, int num_threads) {
+    ArtifactReader& r, const RatingDataset& train, int num_threads) {
   if (num_threads < 0) {
     return Status::InvalidArgument(
         "num_threads must be >= 0 (1 = serial, 0 = hardware concurrency)");
   }
-  ArtifactReader r(is);
   Result<ArtifactHeader> header = r.ReadHeader();
   if (!header.ok()) return header.status();
   GANC_RETURN_NOT_OK(ExpectArtifact(*header, ArtifactKind::kPipeline, 0));
@@ -204,13 +203,18 @@ Result<std::unique_ptr<GancPipeline>> GancPipeline::Load(
       kPipelineModelSection);
   if (!model_section.ok()) return model_section.status();
   PayloadReader mr(model_section->payload());
-  std::string model_bytes;
-  GANC_RETURN_NOT_OK(mr.ReadString(&model_bytes));
+  std::span<const char> model_bytes;  // WriteString's [u64 length][bytes]
+  GANC_RETURN_NOT_OK(mr.BorrowVec(&model_bytes));
   GANC_RETURN_NOT_OK(mr.ExpectEnd());
   GANC_RETURN_NOT_OK(ExpectEndOfArtifact(r));
 
-  std::istringstream model_stream(std::move(model_bytes), std::ios::binary);
-  Result<std::unique_ptr<Recommender>> base = LoadModel(model_stream, &train);
+  // The nested model starts 8 bytes past a 64-byte boundary (the length
+  // prefix), so its tables would sit aligned unlike a standalone model
+  // file's. One aligned copy restores the standalone layout; the model
+  // borrows from the copy, so the outer bytes can go once Load returns.
+  ArtifactReader model_reader(ArtifactBytes::Copy(
+      std::string_view(model_bytes.data(), model_bytes.size())));
+  Result<std::unique_ptr<Recommender>> base = LoadModel(model_reader, &train);
   if (!base.ok()) return base.status();
   if ((*base)->num_items() != train.num_items()) {
     return Status::InvalidArgument(
@@ -224,9 +228,12 @@ Result<std::unique_ptr<GancPipeline>> GancPipeline::Load(
 
 Result<std::unique_ptr<GancPipeline>> GancPipeline::LoadFile(
     const std::string& path, const RatingDataset& train, int num_threads) {
-  return ReadArtifactFile(path, [&](std::istream& is) {
-    return Load(is, train, num_threads);
-  });
+  // read(), not a mapping: every byte is consumed (the model section is
+  // copied out whole), so a mapping saves nothing, and an owned buffer
+  // verifies every section checksum, the nested model's included.
+  Result<ArtifactReader> r = OpenArtifact(path, /*prefer_mmap=*/false);
+  if (!r.ok()) return r.status();
+  return Load(*r, train, num_threads);
 }
 
 Result<TopNCollection> GancPipeline::RecommendAll() const {

@@ -16,7 +16,6 @@
 #ifndef GANC_CORE_PIPELINE_H_
 #define GANC_CORE_PIPELINE_H_
 
-#include <istream>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -28,6 +27,7 @@
 #include "data/dataset.h"
 #include "data/longtail.h"
 #include "recommender/recommender.h"
+#include "util/serialize.h"
 #include "util/status.h"
 
 namespace ganc {
@@ -83,11 +83,12 @@ class GancPipeline {
   /// PipelineConfig::num_threads (it is runtime state, not part of the
   /// artifact). RecommendAll output is bit-identical to the saved
   /// pipeline's.
-  static Result<std::unique_ptr<GancPipeline>> Load(std::istream& is,
+  static Result<std::unique_ptr<GancPipeline>> Load(ArtifactReader& r,
                                                     const RatingDataset& train,
                                                     int num_threads = 1);
 
-  /// Load from a file path.
+  /// Load from a file path, read() into memory and released once the
+  /// base model has its own aligned copy.
   static Result<std::unique_ptr<GancPipeline>> LoadFile(
       const std::string& path, const RatingDataset& train,
       int num_threads = 1);

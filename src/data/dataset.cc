@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 
-#include "util/binary_io.h"
 #include "util/metrics.h"
 #include "util/mmap_region.h"
 #include "util/serialize.h"
@@ -14,38 +13,13 @@ namespace ganc {
 namespace {
 
 // Dataset cache section ids (kind kDatasetCache; see docs/FORMATS.md).
-// v2 wrote dims/offsets/items/values/order; v3 replaces the split
-// items+values arrays with one contiguous rows section (borrowable as
-// ItemRating spans) and adds the stored fingerprint.
+// Ids 3 and 4 held v2's split item-id and value arrays; v3 stores one
+// contiguous rows section (borrowable as ItemRating spans) instead.
 constexpr uint32_t kCacheDimsSection = 1;
 constexpr uint32_t kCacheOffsetsSection = 2;
-constexpr uint32_t kCacheItemsSection = 3;    // v2 only
-constexpr uint32_t kCacheValuesSection = 4;   // v2 only
 constexpr uint32_t kCacheOrderSection = 5;
-constexpr uint32_t kCacheRowsSection = 6;     // v3
-constexpr uint32_t kCacheFingerprintSection = 7;  // v3
-
-// Reads a [count u64][ItemRating...] vector from a section payload,
-// copying into owned storage (the stream-load path).
-Status ReadRowsVec(PayloadReader* pr, std::vector<ItemRating>* out) {
-  if constexpr (kGancHostIsLittleEndian) {
-    std::span<const ItemRating> rows;
-    GANC_RETURN_NOT_OK(pr->BorrowVec(&rows));
-    out->assign(rows.begin(), rows.end());
-    return Status::OK();
-  }
-  uint64_t count = 0;
-  GANC_RETURN_NOT_OK(pr->ReadU64(&count));
-  if (count > pr->remaining() / sizeof(ItemRating)) {
-    return Status::InvalidArgument("vector length exceeds section payload");
-  }
-  out->resize(count);
-  for (uint64_t k = 0; k < count; ++k) {
-    GANC_RETURN_NOT_OK(pr->ReadI32(&(*out)[k].item));
-    GANC_RETURN_NOT_OK(pr->ReadF32(&(*out)[k].value));
-  }
-  return Status::OK();
-}
+constexpr uint32_t kCacheRowsSection = 6;
+constexpr uint32_t kCacheFingerprintSection = 7;
 
 Status ValidateOffsets(std::span<const uint64_t> offsets, int32_t num_users,
                        int32_t num_items, uint64_t nnz) {
@@ -69,8 +43,8 @@ Status ValidateOffsets(std::span<const uint64_t> offsets, int32_t num_users,
 
 }  // namespace
 
-struct RatingDataset::MappedState {
-  std::shared_ptr<const MappedArtifact> artifact;
+struct RatingDataset::BorrowedState {
+  std::shared_ptr<const ArtifactBytes> source;
   std::once_flag once;
   Status status;
   /// Rows of users < this watermark passed ValidateRowRange. Sweeps
@@ -83,6 +57,10 @@ RatingDataset::RatingDataset() = default;
 RatingDataset::~RatingDataset() = default;
 RatingDataset::RatingDataset(RatingDataset&&) noexcept = default;
 RatingDataset& RatingDataset::operator=(RatingDataset&&) noexcept = default;
+
+bool RatingDataset::IsMapped() const {
+  return borrowed_ != nullptr && borrowed_->source->mapped();
+}
 
 void RatingDataset::BindOwnedViews() {
   user_offsets_view_ = user_offsets_;
@@ -253,18 +231,21 @@ Status RatingDataset::SweepRowWindows(
       "Budgeted row windows visited by dataset sweeps.");
   static Counter* const sweep_rows = MetricsRegistry::Global().GetCounter(
       "data_sweep_rows_total", "Ratings visited by dataset row sweeps.");
-  const bool mapped = mapped_ != nullptr;
+  const bool borrowed = borrowed_ != nullptr;
+  // Only a file mapping's pages may be handed back: they refault from
+  // the page cache, while heap pages would come back zeroed.
+  const bool mapped = IsMapped();
   for (const RowWindow& w : PlanRowWindows(budget_bytes, align_users)) {
     sweep_windows->Increment();
     sweep_rows->Increment(static_cast<uint64_t>(w.nnz));
-    if (mapped) {
+    if (borrowed) {
       // First full pass doubles as the deferred row validation; the
       // watermark only ever advances front-to-back, so a later sweep
       // (or EnsureResident) never re-checks.
-      const UserId seen = mapped_->rows_validated_until.load();
+      const UserId seen = borrowed_->rows_validated_until.load();
       if (seen < w.end) {
         GANC_RETURN_NOT_OK(ValidateRowRange(std::max(seen, w.begin), w.end));
-        if (w.begin <= seen) mapped_->rows_validated_until.store(w.end);
+        if (w.begin <= seen) borrowed_->rows_validated_until.store(w.end);
       }
     }
     const Status st = fn(w);
@@ -280,11 +261,11 @@ Status RatingDataset::SweepRowWindows(
 }
 
 Status RatingDataset::ValidateRowsAndIndex() const {
-  // O(nnz) structural checks the eager loaders run at load time and a
-  // mapped dataset defers to first resident use: rows strictly
-  // item-ascending and in range, observation order a permutation.
+  // O(nnz) structural checks a loaded dataset defers to first resident
+  // use: rows strictly item-ascending and in range, observation order a
+  // permutation.
   GANC_RETURN_NOT_OK(ValidateRowRange(0, num_users_));
-  if (mapped_ != nullptr) mapped_->rows_validated_until.store(num_users_);
+  borrowed_->rows_validated_until.store(num_users_);
   const size_t nnz = static_cast<size_t>(nnz_);
   if (!order_view_.empty()) {
     std::vector<bool> seen(nnz, false);
@@ -323,16 +304,15 @@ Status RatingDataset::ValidateRowsAndIndex() const {
   return Status::OK();
 }
 
-Status RatingDataset::Materialize() const { return ValidateRowsAndIndex(); }
-
 Status RatingDataset::EnsureResident() const {
-  if (mapped_ == nullptr) return Status::OK();
-  std::call_once(mapped_->once, [this] { mapped_->status = Materialize(); });
-  return mapped_->status;
+  if (borrowed_ == nullptr) return Status::OK();
+  std::call_once(borrowed_->once,
+                 [this] { borrowed_->status = ValidateRowsAndIndex(); });
+  return borrowed_->status;
 }
 
 Status RatingDataset::SaveBinary(std::ostream& os) const {
-  // The observation-order section needs ratings(); a mapped dataset
+  // The observation-order section needs ratings(); a loaded dataset
   // must materialize (and thereby fully validate) before re-saving.
   GANC_RETURN_NOT_OK(EnsureResident());
   ArtifactWriter w(os);
@@ -541,132 +521,7 @@ Status DatasetCacheStreamWriter::Finish() {
   return aw.Finish();
 }
 
-Result<RatingDataset> RatingDataset::LoadBinary(std::istream& is) {
-  ArtifactReader r(is);
-  Result<ArtifactHeader> header = r.ReadHeader();
-  if (!header.ok()) return header.status();
-  GANC_RETURN_NOT_OK(ExpectArtifact(*header, ArtifactKind::kDatasetCache, 0));
-
-  Result<ArtifactReader::Section> dims = r.ReadSectionExpect(
-      kCacheDimsSection);
-  if (!dims.ok()) return dims.status();
-  PayloadReader dr(dims->payload());
-  int32_t num_users = 0;
-  int32_t num_items = 0;
-  int64_t num_ratings = 0;
-  GANC_RETURN_NOT_OK(dr.ReadI32(&num_users));
-  GANC_RETURN_NOT_OK(dr.ReadI32(&num_items));
-  GANC_RETURN_NOT_OK(dr.ReadI64(&num_ratings));
-  GANC_RETURN_NOT_OK(dr.ExpectEnd());
-  if (num_users < 0 || num_items < 0 || num_ratings < 0) {
-    return Status::InvalidArgument("negative dimensions in dataset cache");
-  }
-  const size_t nnz = static_cast<size_t>(num_ratings);
-
-  RatingDataset ds;
-  ds.num_users_ = num_users;
-  ds.num_items_ = num_items;
-  ds.nnz_ = num_ratings;
-  std::vector<uint64_t> order;
-  {
-    Result<ArtifactReader::Section> s = r.ReadSectionExpect(
-        kCacheOffsetsSection);
-    if (!s.ok()) return s.status();
-    PayloadReader pr(s->payload());
-    GANC_RETURN_NOT_OK(pr.ReadVecU64(&ds.user_offsets_));
-    GANC_RETURN_NOT_OK(pr.ExpectEnd());
-  }
-  if (header->version >= 3) {
-    {
-      Result<ArtifactReader::Section> s = r.ReadSectionExpect(
-          kCacheRowsSection);
-      if (!s.ok()) return s.status();
-      PayloadReader pr(s->payload());
-      GANC_RETURN_NOT_OK(ReadRowsVec(&pr, &ds.user_rows_));
-      GANC_RETURN_NOT_OK(pr.ExpectEnd());
-    }
-    {
-      Result<ArtifactReader::Section> s = r.ReadSectionExpect(
-          kCacheOrderSection);
-      if (!s.ok()) return s.status();
-      PayloadReader pr(s->payload());
-      GANC_RETURN_NOT_OK(pr.ReadVecU64(&order));
-      GANC_RETURN_NOT_OK(pr.ExpectEnd());
-    }
-    {
-      Result<ArtifactReader::Section> s = r.ReadSectionExpect(
-          kCacheFingerprintSection);
-      if (!s.ok()) return s.status();
-      PayloadReader pr(s->payload());
-      GANC_RETURN_NOT_OK(pr.ReadU64(&ds.fingerprint_));
-      GANC_RETURN_NOT_OK(pr.ExpectEnd());
-    }
-  } else {
-    // v2 layout: split item-id and value arrays, mandatory order.
-    std::vector<int32_t> items;
-    std::vector<float> values;
-    {
-      Result<ArtifactReader::Section> s = r.ReadSectionExpect(
-          kCacheItemsSection);
-      if (!s.ok()) return s.status();
-      PayloadReader pr(s->payload());
-      GANC_RETURN_NOT_OK(pr.ReadVecI32(&items));
-      GANC_RETURN_NOT_OK(pr.ExpectEnd());
-    }
-    {
-      Result<ArtifactReader::Section> s = r.ReadSectionExpect(
-          kCacheValuesSection);
-      if (!s.ok()) return s.status();
-      PayloadReader pr(s->payload());
-      GANC_RETURN_NOT_OK(pr.ReadVecF32(&values));
-      GANC_RETURN_NOT_OK(pr.ExpectEnd());
-    }
-    {
-      Result<ArtifactReader::Section> s = r.ReadSectionExpect(
-          kCacheOrderSection);
-      if (!s.ok()) return s.status();
-      PayloadReader pr(s->payload());
-      GANC_RETURN_NOT_OK(pr.ReadVecU64(&order));
-      GANC_RETURN_NOT_OK(pr.ExpectEnd());
-    }
-    if (items.size() != values.size()) {
-      return Status::InvalidArgument("dataset cache section sizes disagree");
-    }
-    ds.user_rows_.resize(items.size());
-    for (size_t p = 0; p < items.size(); ++p) {
-      ds.user_rows_[p] = {items[p], values[p]};
-    }
-    if (order.size() != nnz) {
-      return Status::InvalidArgument("dataset cache section sizes disagree");
-    }
-  }
-  GANC_RETURN_NOT_OK(ExpectEndOfArtifact(r));
-
-  // Structural validation before touching any index.
-  if (ds.user_rows_.size() != nnz ||
-      (!order.empty() && order.size() != nnz)) {
-    return Status::InvalidArgument("dataset cache section sizes disagree");
-  }
-  GANC_RETURN_NOT_OK(
-      ValidateOffsets(ds.user_offsets_, num_users, num_items, nnz));
-  ds.BindOwnedViews();
-  ds.order_view_ = order;  // local: consumed by the eager build below
-  Status built = ds.ValidateRowsAndIndex();
-  ds.order_view_ = {};
-  GANC_RETURN_NOT_OK(built);
-  return ds;
-}
-
-Result<RatingDataset> RatingDataset::LoadBinaryFile(const std::string& path) {
-  return ReadArtifactFile(
-      path, [](std::istream& is) { return LoadBinary(is); });
-}
-
-Result<RatingDataset> RatingDataset::LoadMappedFile(const std::string& path) {
-  Result<std::shared_ptr<const MappedArtifact>> mapped =
-      OpenMappedArtifact(path);
-  if (!mapped.ok()) return mapped.status();
-  ArtifactReader r(*mapped);
+Result<RatingDataset> RatingDataset::Load(ArtifactReader& r) {
   Result<ArtifactHeader> header = r.ReadHeader();
   if (!header.ok()) return header.status();
   GANC_RETURN_NOT_OK(ExpectArtifact(*header, ArtifactKind::kDatasetCache, 0));
@@ -722,9 +577,9 @@ Result<RatingDataset> RatingDataset::LoadMappedFile(const std::string& path) {
   GANC_RETURN_NOT_OK(ExpectEndOfArtifact(r));
 
   // Cold-load validation is O(users): section sizes and the offset
-  // table. Row contents are validated by EnsureResident() before any
-  // consumer indexes by item id; until then rows are only read as
-  // bounded spans.
+  // table. Row contents are validated by EnsureResident() or the first
+  // sweep before any consumer indexes by item id; until then rows are
+  // only read as bounded spans.
   const uint64_t nnz = static_cast<uint64_t>(ds.nnz_);
   if (ds.rows_view_.size() != nnz ||
       (!ds.order_view_.empty() && ds.order_view_.size() != nnz)) {
@@ -732,18 +587,16 @@ Result<RatingDataset> RatingDataset::LoadMappedFile(const std::string& path) {
   }
   GANC_RETURN_NOT_OK(ValidateOffsets(ds.user_offsets_view_, ds.num_users_,
                                      ds.num_items_, nnz));
-  ds.mapped_ = std::make_unique<MappedState>();
-  ds.mapped_->artifact = std::move(*mapped);
+  ds.borrowed_ = std::make_unique<BorrowedState>();
+  ds.borrowed_->source = r.source();
   return ds;
 }
 
 Result<RatingDataset> RatingDataset::LoadFileAuto(const std::string& path,
                                                   bool prefer_mmap) {
-  if (prefer_mmap) {
-    Result<RatingDataset> mapped = LoadMappedFile(path);
-    if (mapped.ok() || !IsMmapFallback(mapped.status())) return mapped;
-  }
-  return LoadBinaryFile(path);
+  Result<ArtifactReader> r = OpenArtifact(path, prefer_mmap);
+  if (!r.ok()) return r.status();
+  return Load(*r);
 }
 
 RatingDatasetBuilder::RatingDatasetBuilder(int32_t num_users,

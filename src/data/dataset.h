@@ -9,19 +9,19 @@
 //
 // Storage is flat CSR (row offsets + one contiguous (item, value)
 // array), exposed through spans. The spans either view owned vectors
-// (builder / stream loads: everything materialized and fully validated
-// up front) or borrow straight out of a memory-mapped v3 dataset cache
-// (LoadMappedFile): cold-start then touches O(users) bytes — dims,
-// offsets, fingerprint — and user rows page in on demand. The CSC item
-// index and the insertion-order ratings() vector are derived data; in
-// mapped mode they are materialized lazily by EnsureResident(), which
-// also performs the O(nnz) row validation that the eager loaders do at
-// load time.
+// (builder: everything materialized and validated up front) or borrow
+// straight out of a v3 dataset cache's bytes (Load / LoadFileAuto,
+// over a file mapping or a read() buffer): cold-start then touches
+// O(users) bytes — dims, offsets, fingerprint — and, when mapped, user
+// rows page in on demand. The CSC item index and the insertion-order
+// ratings() vector are derived data; a loaded dataset materializes them
+// lazily in EnsureResident(), which also performs the O(nnz) row
+// validation.
 //
 // Most consumers never need residency: every Fit, the row-oriented
 // accessors (ItemsOf/Activity/HasRating/GetRating/UnratedItems*),
 // GlobalMeanRating, PopularityVector, Fingerprint, and the chunked
-// SweepRowWindows iterator all work straight off the mapped rows. Only
+// SweepRowWindows iterator all work straight off the borrowed rows. Only
 // the APIs documented "Requires residency" below — ratings(), UsersOf,
 // Popularity, and the ratio splitters built on them — go through
 // EnsureResident() first; the store-backed serving path never does.
@@ -29,8 +29,8 @@
 // Out-of-core training sweeps rows in budgeted windows: PlanRowWindows
 // partitions the user range so each window's row payload fits a byte
 // budget, and SweepRowWindows validates + visits each window and then
-// drops its mapped pages, so a full epoch over a dataset larger than
-// memory peaks at roughly the budget. set_train_budget_bytes records
+// drops its mapped pages, so a full epoch over a mapped dataset larger
+// than memory peaks at roughly the budget. set_train_budget_bytes records
 // the caller's budget on the dataset for trainers to pick up.
 
 #ifndef GANC_DATA_DATASET_H_
@@ -39,7 +39,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <istream>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -47,12 +46,10 @@
 #include <string>
 #include <vector>
 
-#include "util/binary_io.h"
+#include "util/serialize.h"
 #include "util/status.h"
 
 namespace ganc {
-
-class MappedArtifact;
 
 using UserId = int32_t;
 using ItemId = int32_t;
@@ -88,8 +85,8 @@ struct RowWindow {
 
 /// Immutable sparse rating matrix with CSR-style per-user and CSC-style
 /// per-item views. Construct through RatingDatasetBuilder or the binary
-/// cache loaders. Move-only: the CSR spans alias either owned heap
-/// buffers (which transfer on move) or a shared file mapping.
+/// cache loader. Move-only: the CSR spans alias either owned heap
+/// buffers (which transfer on move) or shared artifact bytes.
 class RatingDataset {
  public:
   RatingDataset();
@@ -106,7 +103,7 @@ class RatingDataset {
   /// Fraction of the full matrix that is observed, in [0,1].
   double Density() const;
 
-  /// All observations in insertion order. Requires residency (mapped
+  /// All observations in insertion order. Requires residency (loaded
   /// datasets: EnsureResident() first).
   const std::vector<Rating>& ratings() const { return ratings_; }
 
@@ -134,7 +131,7 @@ class RatingDataset {
   }
 
   /// Popularity of every item as a dense vector indexed by item id.
-  /// Computed by a budgeted row sweep: works on mapped datasets without
+  /// Computed by a budgeted row sweep: works on loaded datasets without
   /// residency, and counts are exact integers either way.
   std::vector<double> PopularityVector() const;
 
@@ -160,7 +157,7 @@ class RatingDataset {
   Result<float> GetRating(UserId u, ItemId i) const;
 
   /// Mean of all rating values; 0 for an empty dataset. Computed by a
-  /// budgeted row sweep in CSR (user-major) order, so mapped datasets
+  /// budgeted row sweep in CSR (user-major) order, so loaded datasets
   /// need no residency and the result is independent of the budget.
   double GlobalMeanRating() const;
 
@@ -173,22 +170,23 @@ class RatingDataset {
   /// generation).
   void UnratedItemsInto(UserId u, std::vector<ItemId>* out) const;
 
-  /// For a mapped dataset: validates every row (strictly item-ascending,
-  /// ids in range — the checks the eager loaders run up front) and
+  /// For a loaded dataset: validates every row (strictly item-ascending,
+  /// ids in range — the checks the builder runs up front) and
   /// materializes the CSC item index and ratings() order, exactly once.
   /// Returns the cached validation error on corrupt row data. No-op
-  /// (always OK) for eagerly loaded datasets. Thread-safe.
+  /// (always OK) for built datasets. Thread-safe.
   Status EnsureResident() const;
 
-  /// True when the CSR rows are borrowed from a file mapping.
-  bool IsMapped() const { return mapped_ != nullptr; }
+  /// True when the CSR rows are borrowed from a file mapping (not from
+  /// a read() buffer).
+  bool IsMapped() const;
 
   /// True when the derived in-core structures (ratings(), the CSC item
-  /// index) exist: always for eagerly loaded datasets, and only after
-  /// EnsureResident() for mapped ones. Regression tests use this to
+  /// index) exist: always for built datasets, and only after
+  /// EnsureResident() for loaded ones. Regression tests use this to
   /// assert that out-of-core paths never materialize the full matrix.
   bool ResidencyMaterialized() const {
-    return mapped_ == nullptr || !item_offsets_.empty();
+    return borrowed_ == nullptr || !item_offsets_.empty();
   }
 
   /// Advisory residency budget (bytes of row payload) for trainers that
@@ -208,11 +206,11 @@ class RatingDataset {
                                         int32_t align_users = 1) const;
 
   /// Runs `fn` over each planned window in ascending user order. For a
-  /// mapped dataset this validates the window's rows on first touch
-  /// (the same strictly-ascending/in-range checks EnsureResident runs)
-  /// and releases the window's mapped pages after `fn` returns, so the
-  /// sweep's resident footprint stays near the budget. Stops at the
-  /// first non-OK status. Eagerly loaded datasets just iterate.
+  /// loaded dataset this validates the window's rows on first touch
+  /// (the same strictly-ascending/in-range checks EnsureResident runs);
+  /// over a file mapping it also releases the window's pages after `fn`
+  /// returns, so the sweep's resident footprint stays near the budget.
+  /// Stops at the first non-OK status. Built datasets just iterate.
   Status SweepRowWindows(
       int64_t budget_bytes, int32_t align_users,
       const std::function<Status(const RowWindow&)>& fn) const;
@@ -220,34 +218,27 @@ class RatingDataset {
   /// Serializes the dataset as a binary CSR cache (see docs/FORMATS.md):
   /// per-user row offsets, one contiguous (item id, value) rows array,
   /// the original observation order, and the content fingerprint,
-  /// checksummed per section. Written once after the text loader;
-  /// LoadBinary then skips parsing, id remapping, sorting, and
-  /// validation on every subsequent run.
+  /// checksummed per section. Written once after the text loader; Load
+  /// then skips parsing, id remapping, sorting, and validation on every
+  /// subsequent run.
   Status SaveBinary(std::ostream& os) const;
 
   /// SaveBinary to a file path (overwrites).
   Status SaveBinaryFile(const std::string& path) const;
 
-  /// Restores a dataset written by SaveBinary (v3) or by an older v2
-  /// writer. The result is exactly the saved dataset: same dimensions,
+  /// Restores a dataset written by SaveBinary as a zero-copy view over
+  /// the reader's bytes: O(users) validation and resident memory up
+  /// front. The result is exactly the saved dataset: same dimensions,
   /// same ratings() order, same per-user and per-item indexes — so
   /// anything downstream (splits, SGD epoch order, scoring) is
   /// bit-identical to running from the text source. Fails on bad magic,
-  /// version or checksum mismatch, truncation, or inconsistent CSR
-  /// structure.
-  static Result<RatingDataset> LoadBinary(std::istream& is);
+  /// an unsupported version, checksum mismatch, truncation, or
+  /// inconsistent CSR offsets; corrupt row contents surface from
+  /// EnsureResident() or the first sweep.
+  static Result<RatingDataset> Load(ArtifactReader& r);
 
-  /// LoadBinary from a file path.
-  static Result<RatingDataset> LoadBinaryFile(const std::string& path);
-
-  /// Opens a v3 dataset cache as a zero-copy view over a file mapping:
-  /// O(users) validation and resident memory, rows paged in on use.
-  /// Returns kFailedPrecondition for pre-v3 caches and kNotImplemented
-  /// without platform mmap (both mean "use LoadBinaryFile").
-  static Result<RatingDataset> LoadMappedFile(const std::string& path);
-
-  /// LoadMappedFile when possible, transparent fallback to the stream
-  /// loader otherwise (or always, when `prefer_mmap` is false).
+  /// Load from a file path, mapped when `prefer_mmap` (and the platform
+  /// can map files), read() into memory otherwise.
   static Result<RatingDataset> LoadFileAuto(const std::string& path,
                                             bool prefer_mmap);
 
@@ -257,20 +248,19 @@ class RatingDataset {
   /// store it and refuse rebinding to different data — e.g. the same
   /// corpus split with a different seed. Insensitive to observation
   /// order (two datasets with equal indexes fingerprint equally). For
-  /// datasets loaded from a v3 cache this returns the stored
-  /// fingerprint without touching the rows.
+  /// datasets loaded from a cache this returns the stored fingerprint
+  /// without touching the rows.
   uint64_t Fingerprint() const;
 
  private:
   friend class RatingDatasetBuilder;
 
-  struct MappedState;
+  struct BorrowedState;
 
-  /// Points the views at the owned vectors (eager modes).
+  /// Points the views at the owned vectors (built datasets).
   void BindOwnedViews();
-  /// Shared O(nnz) structural checks + CSC/ratings build.
+  /// O(nnz) structural checks + CSC/ratings build (EnsureResident).
   Status ValidateRowsAndIndex() const;
-  Status Materialize() const;
   /// Row checks (in range, strictly item-ascending) for users in
   /// [begin, end) — the per-window slice of ValidateRowsAndIndex's
   /// validation pass.
@@ -282,25 +272,26 @@ class RatingDataset {
   /// Advisory trainer residency budget; not part of the dataset value
   /// (ignored by Save/Fingerprint/comparisons).
   int64_t train_budget_bytes_ = 0;
-  /// Stored fingerprint from a v3 cache; 0 = compute on demand.
+  /// Stored fingerprint from a cache; 0 = compute on demand.
   uint64_t fingerprint_ = 0;
 
-  // Owned CSR storage (empty when the views borrow from a mapping).
+  // Owned CSR storage (empty when the views borrow artifact bytes).
   std::vector<uint64_t> user_offsets_;
   std::vector<ItemRating> user_rows_;
-  // Derived data: owned, lazily materialized in mapped mode (mutable is
-  // confined to the EnsureResident() critical section).
+  // Derived data: owned, lazily materialized for loaded datasets
+  // (mutable is confined to the EnsureResident() critical section).
   mutable std::vector<Rating> ratings_;
   mutable std::vector<uint64_t> item_offsets_;
   mutable std::vector<UserRating> item_cols_;
 
-  // CSR views: into the owned vectors or into the mapping.
+  // CSR views: into the owned vectors or into the artifact bytes.
   std::span<const uint64_t> user_offsets_view_;
   std::span<const ItemRating> rows_view_;
-  // Mapped only: CSR-position -> ratings() index (empty = identity).
+  // Loaded only: CSR-position -> ratings() index (empty = identity).
   std::span<const uint64_t> order_view_;
 
-  std::unique_ptr<MappedState> mapped_;
+  // Loaded only: the bytes keepalive plus lazy residency state.
+  std::unique_ptr<BorrowedState> borrowed_;
 };
 
 /// Streams a v3 dataset cache to disk one user row at a time, without

@@ -99,9 +99,8 @@ Result<RatingDataset> LoadDatasetFromFlags(const Flags& flags) {
           "--dataset-cache conflicts with --ratings-file/--dataset (pick one "
           "data source)");
     }
-    // --mmap (default on) opens v3 caches as zero-copy file mappings;
-    // pre-v3 caches and mmap-less platforms fall back to the stream
-    // loader transparently.
+    // --mmap (default on) maps the cache; --mmap=false (or a platform
+    // without mmap) reads it into memory. Rows are borrowed either way.
     return RatingDataset::LoadFileAuto(cache, flags.GetBool("mmap", true));
   }
   const std::string file = flags.GetString("ratings-file", "");

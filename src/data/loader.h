@@ -61,10 +61,11 @@ Status SaveRatingsFile(const RatingDataset& dataset, const std::string& path,
 /// One implementation so a serving process can never resolve the same
 /// flags to different data than the training run did.
 ///
-/// --mmap=true|false (default true) controls whether a v3
-/// --dataset-cache is opened as a zero-copy file mapping (rows resident
-/// on demand) or stream-loaded eagerly; it has no effect on the other
-/// sources. Callers that score immediately should EnsureResident().
+/// --mmap=true|false (default true) controls whether a --dataset-cache
+/// is opened as a file mapping (rows resident on demand) or read into
+/// memory; either way the rows are borrowed in place, and the flag has
+/// no effect on the other sources. Callers that need the CSC index or
+/// ratings() should EnsureResident().
 Result<RatingDataset> LoadDatasetFromFlags(const Flags& flags);
 
 }  // namespace ganc

@@ -226,7 +226,7 @@ Status CofiRecommender::Load(ArtifactReader& r, const RatingDataset* train) {
       kFactorTableSection);
   if (!factors.ok()) return factors.status();
   FactorStore store;
-  GANC_RETURN_NOT_OK(store.LoadFromSection(r, *factors));
+  GANC_RETURN_NOT_OK(store.Load(factors->payload(), r.source()));
   const size_t g = static_cast<size_t>(cfg.num_factors);
   if (num_users < 0 || num_items < 0 || store.num_factors() != g ||
       store.user_rows() != static_cast<size_t>(num_users) ||

@@ -16,8 +16,8 @@ constexpr double kQuantSteps = 254.0;
 constexpr int32_t kQuantMax = 127;
 
 // Every table inside the factor section is preceded by this alignment
-// (v3 only; the scalar header is 25 bytes, so padding is required for
-// the first table and harmless for the rest).
+// (the scalar header is 25 bytes, so padding is required for the first
+// table and harmless for the rest).
 constexpr size_t kTableAlign = 8;
 
 std::vector<float> NarrowToF32(std::span<const double> src) {
@@ -118,7 +118,7 @@ Status FactorStore::SetPrecision(FactorPrecision p) {
   item_f64_.clear();
   item_f64_.shrink_to_fit();
   precision_ = p;
-  RebindViews();  // drops the mapping reference, if any
+  RebindViews();  // drops the artifact bytes reference, if any
   return Status::OK();
 }
 
@@ -225,31 +225,6 @@ Status FactorStore::ReadScalarHeader(PayloadReader* r) {
   return Status::OK();
 }
 
-Status FactorStore::LoadQuantizedOwned(PayloadReader* r, bool aligned,
-                                       QuantizedRows* out, size_t rows,
-                                       const char* side) const {
-  if (aligned) GANC_RETURN_NOT_OK(r->SkipAlign(kTableAlign));
-  GANC_RETURN_NOT_OK(r->ReadVecI8(&out->q));
-  if (aligned) GANC_RETURN_NOT_OK(r->SkipAlign(kTableAlign));
-  GANC_RETURN_NOT_OK(r->ReadVecF32(&out->scale));
-  if (aligned) GANC_RETURN_NOT_OK(r->SkipAlign(kTableAlign));
-  GANC_RETURN_NOT_OK(r->ReadVecF32(&out->center));
-  if (aligned) GANC_RETURN_NOT_OK(r->SkipAlign(kTableAlign));
-  GANC_RETURN_NOT_OK(r->ReadVecI32(&out->qsum));
-  if (out->q.size() != rows * num_factors_) {
-    return Status::InvalidArgument(
-        std::string("factor table section: ") + side +
-        " int8 code table has wrong length");
-  }
-  if (out->scale.size() != rows || out->center.size() != rows ||
-      out->qsum.size() != rows) {
-    return Status::InvalidArgument(
-        std::string("factor table section: ") + side +
-        " quantization side tables (scale/center/qsum) have wrong length");
-  }
-  return Status::OK();
-}
-
 Status FactorStore::LoadQuantizedBorrowed(PayloadReader* r,
                                           QuantizedRowsView* out, size_t rows,
                                           const char* side) const {
@@ -272,44 +247,6 @@ Status FactorStore::LoadQuantizedBorrowed(PayloadReader* r,
         std::string("factor table section: ") + side +
         " quantization side tables (scale/center/qsum) have wrong length");
   }
-  return Status::OK();
-}
-
-Status FactorStore::LoadOwned(PayloadReader* r, bool aligned) {
-  auto skip = [&]() -> Status {
-    return aligned ? r->SkipAlign(kTableAlign) : Status::OK();
-  };
-  switch (precision_) {
-    case FactorPrecision::kFp64:
-      GANC_RETURN_NOT_OK(skip());
-      GANC_RETURN_NOT_OK(r->ReadVecF64(&user_f64_));
-      GANC_RETURN_NOT_OK(skip());
-      GANC_RETURN_NOT_OK(r->ReadVecF64(&item_f64_));
-      if (user_f64_.size() != user_rows_ * num_factors_ ||
-          item_f64_.size() != item_rows_ * num_factors_) {
-        return Status::InvalidArgument(
-            "factor table section: fp64 tables have wrong length");
-      }
-      break;
-    case FactorPrecision::kFp32:
-      GANC_RETURN_NOT_OK(skip());
-      GANC_RETURN_NOT_OK(r->ReadVecF32(&user_f32_));
-      GANC_RETURN_NOT_OK(skip());
-      GANC_RETURN_NOT_OK(r->ReadVecF32(&item_f32_));
-      if (user_f32_.size() != user_rows_ * num_factors_ ||
-          item_f32_.size() != item_rows_ * num_factors_) {
-        return Status::InvalidArgument(
-            "factor table section: fp32 tables have wrong length");
-      }
-      break;
-    case FactorPrecision::kInt8:
-      GANC_RETURN_NOT_OK(
-          LoadQuantizedOwned(r, aligned, &user_q_, user_rows_, "user"));
-      GANC_RETURN_NOT_OK(
-          LoadQuantizedOwned(r, aligned, &item_q_, item_rows_, "item"));
-      break;
-  }
-  RebindViews();
   return Status::OK();
 }
 
@@ -347,26 +284,15 @@ Status FactorStore::LoadBorrowed(PayloadReader* r) {
   return Status::OK();
 }
 
-Status FactorStore::Load(PayloadReader* r, bool aligned) {
+Status FactorStore::Load(std::string_view payload,
+                         std::shared_ptr<const void> keepalive) {
   Clear();
-  GANC_RETURN_NOT_OK(ReadScalarHeader(r));
-  return LoadOwned(r, aligned);
-}
-
-Status FactorStore::LoadFromSection(ArtifactReader& r,
-                                    const ArtifactReader::Section& sec) {
-  Clear();
-  Result<ArtifactHeader> header = r.Header();
-  if (!header.ok()) return header.status();
-  PayloadReader pr(sec.payload());
-  if (sec.is_mapped) {
-    GANC_RETURN_NOT_OK(ReadScalarHeader(&pr));
-    GANC_RETURN_NOT_OK(LoadBorrowed(&pr));
-    keepalive_ = r.mapped_artifact();
-  } else {
-    GANC_RETURN_NOT_OK(Load(&pr, header->version >= 3));
-  }
-  return pr.ExpectEnd();
+  PayloadReader r(payload);
+  GANC_RETURN_NOT_OK(ReadScalarHeader(&r));
+  GANC_RETURN_NOT_OK(LoadBorrowed(&r));
+  GANC_RETURN_NOT_OK(r.ExpectEnd());
+  keepalive_ = std::move(keepalive);
+  return Status::OK();
 }
 
 void FactorStore::Clear() {

@@ -10,11 +10,11 @@
 // artifact).
 //
 // Ownership: all table access goes through spans that view either
-// owned vectors (fitted or stream-loaded stores) or a memory-mapped
-// artifact's factor-table section (LoadFromSection over a mapped
-// reader). Mapped tables feed the SIMD scoring kernels in place — the
-// v3 format 8-aligns every table inside the section precisely so no
-// copy is needed. A keepalive pins the mapping for the store's life.
+// owned vectors (fitted or compacted stores) or a loaded artifact's
+// factor-table section (Load). Loaded tables feed the SIMD scoring
+// kernels in place — the v3 format 8-aligns every table inside the
+// section precisely so no copy is needed. A keepalive pins the
+// artifact bytes for the store's life.
 //
 // Persistence: the store serializes as its own artifact section
 // (kFactorTableSection, docs/FORMATS.md §factor tables) holding only
@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "recommender/factor_view.h"
@@ -45,9 +46,9 @@ class FactorStore {
 
   /// Converts the tables to `p` in place. fp64 -> {fp64, fp32, int8}
   /// and identity conversions succeed; anything else is an error (the
-  /// fp64 source is gone once compacted). Compacting a mapped fp64
-  /// store materializes owned compact tables and releases the mapping
-  /// reference.
+  /// fp64 source is gone once compacted). Compacting a loaded fp64
+  /// store materializes owned compact tables and releases the artifact
+  /// bytes reference.
   Status SetPrecision(FactorPrecision p);
 
   FactorPrecision precision() const { return precision_; }
@@ -55,8 +56,6 @@ class FactorStore {
   size_t num_factors() const { return num_factors_; }
   size_t user_rows() const { return user_rows_; }
   size_t item_rows() const { return item_rows_; }
-  /// True when the active tables are borrowed from a file mapping.
-  bool IsMapped() const { return keepalive_ != nullptr; }
 
   /// Points the view's factor-table fields (precision, typed pointers,
   /// num_factors) at this store. Bias fields and num_items are the
@@ -68,8 +67,9 @@ class FactorStore {
   std::span<const double> item_f64() const { return item_f64_view_; }
 
   /// Bytes in the active factor tables (incl. quantization side
-  /// tables) — the number BENCH_kernel.json reports. For a mapped
-  /// store these bytes are file-backed page cache, not private RSS.
+  /// tables) — the number BENCH_kernel.json reports. For a store loaded
+  /// over a file mapping these bytes are file-backed page cache, not
+  /// private RSS.
   size_t ResidentBytes() const;
 
   /// Serializes the active tables as one section payload, 8-aligning
@@ -78,17 +78,11 @@ class FactorStore {
   /// alignment — the property mapped loads rely on).
   void Save(PayloadWriter* w) const;
 
-  /// Parses a section payload written by Save() into owned tables.
-  /// `aligned` selects the layout: v3 payloads carry alignment padding
-  /// before each table, pre-v3 payloads are packed.
-  Status Load(PayloadReader* r, bool aligned);
-
-  /// Parses the factor-table section: borrows the tables zero-copy
-  /// when `sec` is mapped (keepalive = the reader's mapping), copies
-  /// into owned vectors otherwise. Pre-v3 stream payloads have no
-  /// alignment padding; the artifact version picks the layout.
-  Status LoadFromSection(ArtifactReader& r,
-                         const ArtifactReader::Section& sec);
+  /// Parses a section payload written by Save() as zero-copy views into
+  /// `payload`, whose tables must be element-aligned in memory (every
+  /// ArtifactBytes source is); `keepalive` pins the viewed bytes for
+  /// the store's life.
+  Status Load(std::string_view payload, std::shared_ptr<const void> keepalive);
 
   void Clear();
 
@@ -109,13 +103,10 @@ class FactorStore {
   static QuantizedRows Quantize(std::span<const double> src, size_t rows,
                                 size_t g);
   Status ReadScalarHeader(PayloadReader* r);
-  Status LoadOwned(PayloadReader* r, bool aligned);
   Status LoadBorrowed(PayloadReader* r);
-  Status LoadQuantizedOwned(PayloadReader* r, bool aligned, QuantizedRows* out,
-                            size_t rows, const char* side) const;
   Status LoadQuantizedBorrowed(PayloadReader* r, QuantizedRowsView* out,
                                size_t rows, const char* side) const;
-  /// Points the views at the owned vectors (the non-mapped state).
+  /// Points the views at the owned vectors (the not-loaded state).
   void RebindViews();
 
   FactorPrecision precision_ = FactorPrecision::kFp64;
@@ -123,7 +114,7 @@ class FactorStore {
   size_t item_rows_ = 0;
   size_t num_factors_ = 0;
 
-  // Owned storage (empty when the views borrow from a mapping).
+  // Owned storage (empty when the views borrow artifact bytes).
   std::vector<double> user_f64_;
   std::vector<double> item_f64_;
   std::vector<float> user_f32_;
@@ -131,7 +122,7 @@ class FactorStore {
   QuantizedRows user_q_;
   QuantizedRows item_q_;
 
-  // The active tables: views over the owned vectors or the mapping.
+  // The active tables: views over the owned vectors or artifact bytes.
   std::span<const double> user_f64_view_;
   std::span<const double> item_f64_view_;
   std::span<const float> user_f32_view_;

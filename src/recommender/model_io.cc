@@ -29,8 +29,7 @@ Status SaveModelFile(const Recommender& model, const std::string& path) {
 Result<std::unique_ptr<Recommender>> LoadModel(ArtifactReader& r,
                                                const RatingDataset* train) {
   // Read the header to learn the concrete type; the model's Load picks
-  // up from the cached header (via ReadModelHeader) — no rewind, so
-  // unseekable streams and mapped artifacts both work.
+  // up from the cached header (via ReadModelHeader).
   Result<ArtifactHeader> header = r.Header();
   if (!header.ok()) return header.status();
   if (header->kind != static_cast<uint32_t>(ArtifactKind::kModel)) {
@@ -75,35 +74,11 @@ Result<std::unique_ptr<Recommender>> LoadModel(ArtifactReader& r,
   return model;
 }
 
-Result<std::unique_ptr<Recommender>> LoadModel(std::istream& is,
-                                               const RatingDataset* train) {
-  ArtifactReader r(is);
-  return LoadModel(r, train);
-}
-
-Result<std::unique_ptr<Recommender>> LoadModelFile(const std::string& path,
-                                                   const RatingDataset* train) {
-  return ReadArtifactFile(
-      path, [&](std::istream& is) { return LoadModel(is, train); });
-}
-
-Result<std::unique_ptr<Recommender>> LoadModelFileMapped(
-    const std::string& path, const RatingDataset* train) {
-  Result<std::shared_ptr<const MappedArtifact>> mapped =
-      OpenMappedArtifact(path);
-  if (!mapped.ok()) return mapped.status();
-  ArtifactReader r(std::move(*mapped));
-  return LoadModel(r, train);
-}
-
 Result<std::unique_ptr<Recommender>> LoadModelFileAuto(
     const std::string& path, bool prefer_mmap, const RatingDataset* train) {
-  if (prefer_mmap) {
-    Result<std::unique_ptr<Recommender>> mapped =
-        LoadModelFileMapped(path, train);
-    if (mapped.ok() || !IsMmapFallback(mapped.status())) return mapped;
-  }
-  return LoadModelFile(path, train);
+  Result<ArtifactReader> r = OpenArtifact(path, prefer_mmap);
+  if (!r.ok()) return r.status();
+  return LoadModel(*r, train);
 }
 
 }  // namespace ganc

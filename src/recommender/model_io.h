@@ -11,7 +11,6 @@
 #define GANC_RECOMMENDER_MODEL_IO_H_
 
 #include <cstdint>
-#include <istream>
 #include <memory>
 #include <string>
 
@@ -52,30 +51,16 @@ Status SaveModelFile(const Recommender& model, const std::string& path);
 
 /// Reads the model type tag from the artifact header, constructs the
 /// matching recommender (with default hyper-parameters, which Load then
-/// overwrites from the artifact), and loads it through the same reader
-/// — no rewind, so unseekable streams and mapped artifacts both work.
-/// `train` rebinds the dataset-backed models; self-contained models
-/// ignore it. The reader is left positioned after the end marker.
+/// overwrites from the artifact), and loads it through the same reader.
+/// The latent-factor models borrow their factor tables zero-copy from
+/// the reader's bytes. `train` rebinds the dataset-backed models;
+/// self-contained models ignore it. The reader is left positioned after
+/// the end marker.
 Result<std::unique_ptr<Recommender>> LoadModel(ArtifactReader& r,
                                                const RatingDataset* train);
 
-/// LoadModel over a stream positioned at the artifact's first byte.
-Result<std::unique_ptr<Recommender>> LoadModel(std::istream& is,
-                                               const RatingDataset* train);
-
-/// LoadModel over a file path (stream backend).
-Result<std::unique_ptr<Recommender>> LoadModelFile(const std::string& path,
-                                                   const RatingDataset* train);
-
-/// LoadModel over a memory-mapped v3 artifact: the latent-factor models
-/// borrow their factor tables zero-copy from the mapping. Returns
-/// kFailedPrecondition for pre-v3 artifacts and kNotImplemented without
-/// platform mmap (both mean "use LoadModelFile").
-Result<std::unique_ptr<Recommender>> LoadModelFileMapped(
-    const std::string& path, const RatingDataset* train);
-
-/// LoadModelFileMapped when possible, transparent fallback to the
-/// stream loader otherwise (or always, when `prefer_mmap` is false).
+/// LoadModel over a file path, mapped when `prefer_mmap` (and the
+/// platform can map files), read() into memory otherwise.
 Result<std::unique_ptr<Recommender>> LoadModelFileAuto(
     const std::string& path, bool prefer_mmap, const RatingDataset* train);
 

@@ -121,7 +121,7 @@ Status PsvdRecommender::Load(ArtifactReader& r, const RatingDataset* train) {
       kFactorTableSection);
   if (!factors.ok()) return factors.status();
   FactorStore store;
-  GANC_RETURN_NOT_OK(store.LoadFromSection(r, *factors));
+  GANC_RETURN_NOT_OK(store.Load(factors->payload(), r.source()));
   // Scoring rank is |sigma| (may be below num_factors on tiny matrices).
   const size_t g = sigma.size();
   if (num_users < 0 || num_items < 0 || store.num_factors() != g ||

@@ -26,11 +26,6 @@ Status Recommender::Save(std::ostream& /*os*/) const {
                                 "' has no persistence support");
 }
 
-Status Recommender::Load(std::istream& is, const RatingDataset* train) {
-  ArtifactReader r(is);
-  return Load(r, train);
-}
-
 Status Recommender::Load(ArtifactReader& /*r*/,
                          const RatingDataset* /*train*/) {
   return Status::NotImplemented("model '" + name() +

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <istream>
 #include <memory>
 #include <ostream>
 #include <span>
@@ -119,7 +118,7 @@ class Recommender {
   ///  - Const and thread-safe against concurrent scoring.
   ///
   /// The default implementation returns NotImplemented; every shipped
-  /// model overrides it. Use SaveModelFile / LoadModelFile
+  /// model overrides it. Use SaveModelFile / LoadModelFileAuto
   /// (recommender/model_io.h) for path-based round trips and
   /// type-dispatching loads.
   virtual Status Save(std::ostream& os) const;
@@ -145,13 +144,9 @@ class Recommender {
   ///    config, so name() and scoring behavior match the saved model.
   ///  - Not thread-safe against concurrent scoring (like Fit).
   ///
-  /// The stream overload is a convenience wrapper that builds an
-  /// ArtifactReader over `is` and dispatches to the reader overload —
-  /// the virtual hook every model implements. The reader form is
-  /// backend-agnostic: over a mapped artifact (ArtifactReader's mmap
-  /// backend) the factor-table models borrow their tables zero-copy
-  /// from the mapping instead of materializing them.
-  Status Load(std::istream& is, const RatingDataset* train);
+  /// The factor-table models borrow their tables zero-copy from the
+  /// reader's bytes (a file mapping, a read() buffer or an in-memory
+  /// copy) and keep them alive through ArtifactReader::source().
   virtual Status Load(ArtifactReader& r, const RatingDataset* train);
 
   /// Converts the model's factor tables to `p` in place (see

@@ -304,7 +304,7 @@ Status RsvdRecommender::Load(ArtifactReader& r, const RatingDataset* train) {
       kFactorTableSection);
   if (!factors.ok()) return factors.status();
   FactorStore store;
-  GANC_RETURN_NOT_OK(store.LoadFromSection(r, *factors));
+  GANC_RETURN_NOT_OK(store.Load(factors->payload(), r.source()));
   const size_t g = static_cast<size_t>(cfg.num_factors);
   const size_t nu = static_cast<size_t>(num_users);
   const size_t ni = static_cast<size_t>(num_items);

@@ -46,6 +46,7 @@
 #ifndef GANC_SERVE_PROTOCOL_H_
 #define GANC_SERVE_PROTOCOL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -56,6 +57,12 @@
 #include "util/status.h"
 
 namespace ganc {
+
+/// Longest request line a server reads: 1 MiB, far above any legal
+/// TOPN exclude= list. A longer line is answered with one ERR and
+/// skipped through its newline, so a client stream without newlines
+/// cannot grow server memory.
+inline constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
 
 /// Request verbs.
 enum class ServeCommand {

@@ -81,10 +81,10 @@ struct ServiceConfig {
   /// precision). Ignored by the borrowing Create overloads — compact the
   /// model before handing it in.
   FactorPrecision factor_precision = FactorPrecision::kFp64;
-  /// LoadModelService opens the model artifact through the mmap
-  /// zero-copy path when the format supports it (v3; latent-factor
-  /// tables are then served straight off the mapping), with transparent
-  /// fallback to the stream loader. Pipelines are stream-only.
+  /// Byte source LoadModelService reads the model artifact through:
+  /// a file mapping (latent-factor tables are then served straight off
+  /// the page cache) or, when false, a read() into memory. Either way
+  /// the tables are borrowed from the artifact's bytes, never copied.
   bool mmap_artifacts = true;
   /// Registry the service resolves its instruments from (null = the
   /// process-global registry). A shard hands the same registry to every

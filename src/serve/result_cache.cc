@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "util/binary_io.h"
+#include "util/serialize.h"
 
 namespace ganc {
 

@@ -12,8 +12,9 @@ namespace {
 // Row payload resident at a time during the accountant's popularity
 // sweep. Deliberately small and fixed: service construction must not
 // widen the mapped server's RSS envelope (the scale-smoke CI job pins
-// it), and the counts are budget-independent anyway.
-constexpr int64_t kDefaultSweepBudgetBytes = 8 << 20;
+// it against a server that reads the whole cache into memory), and the
+// counts are budget-independent anyway.
+constexpr int64_t kDefaultSweepBudgetBytes = 1 << 20;
 
 }  // namespace
 

@@ -14,10 +14,10 @@ constexpr uint32_t kStoreMetaSection = 1;
 constexpr uint32_t kStoreOffsetsSection = 2;
 constexpr uint32_t kStoreItemsSection = 3;
 
-// Shared invariant check behind FromLists and the loaders: offsets must
-// form a valid flat store for the declared dimensions. The per-item id
-// range scan is O(total items) and is skipped for mapped opens (stored
-// ids are only ever emitted, never used as indices), keeping the mapped
+// Shared invariant check behind FromLists and Load: offsets must form a
+// valid flat store for the declared dimensions. The per-item id range
+// scan is O(total items) and is skipped over a file mapping (stored ids
+// are only ever emitted, never used as indices), keeping the mapped
 // cold path O(users) regardless of file size.
 Status ValidateFlat(int32_t num_users, int32_t num_items, int32_t top_n,
                     std::span<const uint64_t> offsets,
@@ -128,59 +128,10 @@ Status TopNStore::SaveFile(const std::string& path) const {
   return WriteArtifactFile(path, [&](std::ostream& os) { return Save(os); });
 }
 
-Result<TopNStore> TopNStore::Load(std::istream& is) {
-  ArtifactReader r(is);
+Result<TopNStore> TopNStore::Load(ArtifactReader& r) {
   Result<ArtifactHeader> header = r.ReadHeader();
   if (!header.ok()) return header.status();
   GANC_RETURN_NOT_OK(ExpectArtifact(*header, ArtifactKind::kTopNStore, 0));
-
-  Result<ArtifactReader::Section> meta = r.ReadSectionExpect(kStoreMetaSection);
-  if (!meta.ok()) return meta.status();
-  TopNStore store;
-  PayloadReader mr(meta->payload());
-  GANC_RETURN_NOT_OK(mr.ReadI32(&store.num_users_));
-  GANC_RETURN_NOT_OK(mr.ReadI32(&store.num_items_));
-  GANC_RETURN_NOT_OK(mr.ReadI32(&store.top_n_));
-  GANC_RETURN_NOT_OK(mr.ReadU64(&store.train_fingerprint_));
-  GANC_RETURN_NOT_OK(mr.ReadString(&store.source_));
-  GANC_RETURN_NOT_OK(mr.ExpectEnd());
-
-  Result<ArtifactReader::Section> offsets =
-      r.ReadSectionExpect(kStoreOffsetsSection);
-  if (!offsets.ok()) return offsets.status();
-  PayloadReader orr(offsets->payload());
-  GANC_RETURN_NOT_OK(orr.ReadVecU64(&store.offsets_));
-  GANC_RETURN_NOT_OK(orr.ExpectEnd());
-
-  Result<ArtifactReader::Section> items =
-      r.ReadSectionExpect(kStoreItemsSection);
-  if (!items.ok()) return items.status();
-  PayloadReader ir(items->payload());
-  GANC_RETURN_NOT_OK(ir.ReadVecI32(&store.items_));
-  GANC_RETURN_NOT_OK(ir.ExpectEnd());
-  GANC_RETURN_NOT_OK(ExpectEndOfArtifact(r));
-
-  GANC_RETURN_NOT_OK(ValidateFlat(store.num_users_, store.num_items_,
-                                  store.top_n_, store.offsets_, store.items_,
-                                  /*scan_items=*/true));
-  store.num_lists_ = CountLists(store.offsets_);
-  store.BindOwnedViews();
-  return store;
-}
-
-Result<TopNStore> TopNStore::LoadFile(const std::string& path) {
-  return ReadArtifactFile(path, [](std::istream& is) { return Load(is); });
-}
-
-Result<TopNStore> TopNStore::LoadFileMapped(const std::string& path) {
-  Result<std::shared_ptr<const MappedArtifact>> mapped =
-      OpenMappedArtifact(path);
-  if (!mapped.ok()) return mapped.status();
-  GANC_RETURN_NOT_OK(
-      ExpectArtifact((*mapped)->header(), ArtifactKind::kTopNStore, 0));
-  ArtifactReader r(*mapped);
-  Result<ArtifactHeader> header = r.ReadHeader();
-  if (!header.ok()) return header.status();
 
   Result<ArtifactReader::Section> meta = r.ReadSectionExpect(kStoreMetaSection);
   if (!meta.ok()) return meta.status();
@@ -210,19 +161,18 @@ Result<TopNStore> TopNStore::LoadFileMapped(const std::string& path) {
 
   GANC_RETURN_NOT_OK(ValidateFlat(store.num_users_, store.num_items_,
                                   store.top_n_, store.offsets_view_,
-                                  store.items_view_, /*scan_items=*/false));
+                                  store.items_view_,
+                                  /*scan_items=*/!r.source()->mapped()));
   store.num_lists_ = CountLists(store.offsets_view_);
-  store.mapped_ = std::move(*mapped);
+  store.source_bytes_ = r.source();
   return store;
 }
 
 Result<TopNStore> TopNStore::LoadFileAuto(const std::string& path,
                                           bool prefer_mmap) {
-  if (prefer_mmap) {
-    Result<TopNStore> mapped = LoadFileMapped(path);
-    if (mapped.ok() || !IsMmapFallback(mapped.status())) return mapped;
-  }
-  return LoadFile(path);
+  Result<ArtifactReader> r = OpenArtifact(path, prefer_mmap);
+  if (!r.ok()) return r.status();
+  return Load(*r);
 }
 
 std::vector<UserId> HeadUsersByActivity(const RatingDataset& train,

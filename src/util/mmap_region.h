@@ -5,8 +5,8 @@
 // under memory pressure without any bookkeeping here.
 //
 // On platforms without mmap (or when the build opts out) Map() returns
-// kNotImplemented and callers fall back to the validating stream
-// reader, which stays the portable path.
+// kNotImplemented; ArtifactBytes::Open then reads the file into an
+// aligned buffer instead (the same reader parses either span).
 
 #ifndef GANC_UTIL_MMAP_REGION_H_
 #define GANC_UTIL_MMAP_REGION_H_
@@ -27,7 +27,7 @@ namespace ganc {
 class MmapRegion {
  public:
   /// Maps `path` read-only. Returns kNotImplemented when the platform
-  /// has no mmap support (the caller's cue to fall back to streams),
+  /// has no mmap support (the caller's cue to read() the file instead),
   /// kIOError when the file cannot be opened/mapped.
   static Result<MmapRegion> Map(const std::string& path);
 
@@ -54,7 +54,8 @@ class MmapRegion {
 };
 
 /// Drops the resident pages of `[p, p + len)` back to the kernel. The
-/// range MUST lie inside a read-only file mapping (MmapRegion): for a
+/// range MUST lie inside a read-only file mapping (MmapRegion; callers
+/// check ArtifactBytes::mapped() first): for a
 /// private file mapping MADV_DONTNEED simply discards the clean pages,
 /// which refault from the page cache on the next touch — this is how
 /// chunked sweeps keep a bounded RSS over datasets larger than memory.

@@ -1,8 +1,9 @@
 #include "util/serialize.h"
 
-#include <algorithm>
-
-#include "util/binary_io.h"
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <new>
 
 namespace ganc {
 
@@ -24,6 +25,19 @@ uint64_t PaddingFor(uint64_t offset) {
 }
 
 }  // namespace
+
+uint64_t Fnv1aHash(const void* data, size_t size) {
+  return Fnv1aHasher().Update(data, size).digest();
+}
+
+Fnv1aHasher& Fnv1aHasher::Update(const void* data, size_t size) {
+  const auto* bytes = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    hash_ ^= bytes[i];
+    hash_ *= 0x100000001B3ULL;
+  }
+  return *this;
+}
 
 void PayloadWriter::WriteU32(uint32_t v) {
   char b[4];
@@ -241,21 +255,25 @@ uint64_t DecodeU64(const char* b) {
 
 constexpr size_t kHeaderBytes = 24;
 
-// Parses and validates the fixed 24-byte header. Accepts every version
-// the stream reader supports; mapped-specific restrictions are layered
-// on in MappedArtifact::Open.
+// Parses and validates the fixed 24-byte header.
 Result<ArtifactHeader> ParseHeaderBytes(const char* b) {
   if (std::memcmp(b, kGancArtifactMagic, sizeof(kGancArtifactMagic)) != 0) {
     return Status::InvalidArgument("bad artifact magic (not a GANC artifact)");
   }
   ArtifactHeader header;
   header.version = DecodeU32(b + 8);
-  if (header.version < kMinSupportedReadVersion ||
-      header.version > kGancFormatVersion) {
+  if (header.version == 2) {
+    // v2 wrote the same sections without payload padding, so none of
+    // its tables can be borrowed in place.
+    return Status::FailedPrecondition(
+        "artifact format version 2 is no longer read (this build reads "
+        "version " + std::to_string(kGancFormatVersion) +
+        "); re-save it with a release that reads both versions");
+  }
+  if (header.version != kGancFormatVersion) {
     return Status::InvalidArgument(
         "unsupported artifact format version " +
-        std::to_string(header.version) + " (this build reads versions " +
-        std::to_string(kMinSupportedReadVersion) + ".." +
+        std::to_string(header.version) + " (this build reads version " +
         std::to_string(kGancFormatVersion) + ")");
   }
   header.kind = DecodeU32(b + 12);
@@ -372,96 +390,93 @@ Status ArtifactWriter::Finish() {
   return Status::OK();
 }
 
-Result<MappedArtifact> MappedArtifact::Open(const std::string& path) {
-  Result<MmapRegion> region = MmapRegion::Map(path);
-  if (!region.ok()) return region.status();
-  MappedArtifact artifact;
-  artifact.region_ = std::move(region).value();
-  artifact.path_ = path;
-  if (artifact.region_.size() < kHeaderBytes) {
-    return Status::IOError("truncated artifact: magic");
+void ArtifactBytes::AlignedDelete::operator()(char* p) const {
+  ::operator delete[](p, std::align_val_t(kSectionAlignment));
+}
+
+std::shared_ptr<ArtifactBytes> ArtifactBytes::Allocate(size_t size) {
+  auto out = std::shared_ptr<ArtifactBytes>(new ArtifactBytes());
+  // Uninitialized on purpose: the caller overwrites every byte.
+  out->owned_.reset(static_cast<char*>(::operator new[](
+      size == 0 ? 1 : size, std::align_val_t(kSectionAlignment))));
+  out->bytes_ = std::string_view(out->owned_.get(), size);
+  return out;
+}
+
+std::shared_ptr<const ArtifactBytes> ArtifactBytes::Copy(
+    std::string_view bytes) {
+  std::shared_ptr<ArtifactBytes> out = Allocate(bytes.size());
+  std::memcpy(out->owned_.get(), bytes.data(), bytes.size());
+  return out;
+}
+
+Result<std::shared_ptr<const ArtifactBytes>> ArtifactBytes::Open(
+    const std::string& path, bool prefer_mmap) {
+  if (prefer_mmap && MmapRegion::Supported()) {
+    Result<MmapRegion> region = MmapRegion::Map(path);
+    if (!region.ok()) return region.status();
+    auto out = std::shared_ptr<ArtifactBytes>(new ArtifactBytes());
+    out->region_ = std::move(region).value();
+    out->bytes_ = out->region_.bytes();
+    return std::shared_ptr<const ArtifactBytes>(std::move(out));
   }
-  Result<ArtifactHeader> header = ParseHeaderBytes(artifact.region_.data());
-  if (!header.ok()) return header.status();
-  if (header->version < 3) {
-    // Pre-v3 artifacts carry no alignment guarantee; the caller falls
-    // back to the (still fully supported) stream reader.
-    return Status::FailedPrecondition(
-        "artifact format version " + std::to_string(header->version) +
-        " predates the mmap path; use the stream reader");
+  std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
+  if (file == nullptr) return Status::IOError("cannot open " + path);
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) {
+    return Status::IOError(path + " is not a regular file");
   }
-  artifact.header_ = *header;
-  return artifact;
+  const uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) return Status::IOError("cannot stat " + path);
+  std::shared_ptr<ArtifactBytes> out = Allocate(static_cast<size_t>(size));
+  if (std::fread(out->owned_.get(), 1, static_cast<size_t>(size),
+                 file.get()) != size ||
+      std::fgetc(file.get()) != EOF) {
+    return Status::IOError("short read (file changed while loading) from " +
+                           path);
+  }
+  return std::shared_ptr<const ArtifactBytes>(std::move(out));
 }
 
-Result<std::shared_ptr<const MappedArtifact>> OpenMappedArtifact(
-    const std::string& path) {
-  Result<MappedArtifact> artifact = MappedArtifact::Open(path);
-  if (!artifact.ok()) return artifact.status();
-  return std::shared_ptr<const MappedArtifact>(
-      std::make_shared<MappedArtifact>(std::move(artifact).value()));
+Result<ArtifactReader> OpenArtifact(const std::string& path,
+                                    bool prefer_mmap) {
+  Result<std::shared_ptr<const ArtifactBytes>> bytes =
+      ArtifactBytes::Open(path, prefer_mmap);
+  if (!bytes.ok()) return bytes.status();
+  return ArtifactReader(std::move(bytes).value());
 }
-
-bool IsMmapFallback(const Status& status) {
-  return status.code() == StatusCode::kNotImplemented ||
-         status.code() == StatusCode::kFailedPrecondition;
-}
-
-ArtifactReader::ArtifactReader(std::shared_ptr<const MappedArtifact> mapped)
-    : mapped_(std::move(mapped)) {}
 
 Status ArtifactReader::GetU32(uint32_t* out, const char* what) {
-  if (mapped_ != nullptr) {
-    const std::string_view bytes = mapped_->bytes();
-    if (4 > bytes.size() - pos_) {
-      return Status::IOError(std::string("truncated artifact: ") + what);
-    }
-    *out = DecodeU32(bytes.data() + pos_);
-    pos_ += 4;
-    return Status::OK();
+  const std::string_view bytes = source_->bytes();
+  if (4 > bytes.size() - pos_) {
+    return Status::IOError(std::string("truncated artifact: ") + what);
   }
-  char b[4];
-  is_->read(b, sizeof(b));
-  if (!*is_) return Status::IOError(std::string("truncated artifact: ") + what);
-  *out = DecodeU32(b);
+  *out = DecodeU32(bytes.data() + pos_);
   pos_ += 4;
   return Status::OK();
 }
 
 Status ArtifactReader::GetU64(uint64_t* out, const char* what) {
-  if (mapped_ != nullptr) {
-    const std::string_view bytes = mapped_->bytes();
-    if (8 > bytes.size() - pos_) {
-      return Status::IOError(std::string("truncated artifact: ") + what);
-    }
-    *out = DecodeU64(bytes.data() + pos_);
-    pos_ += 8;
-    return Status::OK();
+  const std::string_view bytes = source_->bytes();
+  if (8 > bytes.size() - pos_) {
+    return Status::IOError(std::string("truncated artifact: ") + what);
   }
-  char b[8];
-  is_->read(b, sizeof(b));
-  if (!*is_) return Status::IOError(std::string("truncated artifact: ") + what);
-  *out = DecodeU64(b);
+  *out = DecodeU64(bytes.data() + pos_);
   pos_ += 8;
   return Status::OK();
 }
 
 Result<ArtifactHeader> ArtifactReader::ReadHeader() {
-  if (mapped_ != nullptr) {
-    // MappedArtifact::Open already validated the header.
-    header_ = mapped_->header();
-    header_read_ = true;
-    pos_ = kHeaderBytes;
-    return header_;
+  const std::string_view bytes = source_->bytes();
+  if (bytes.size() < kHeaderBytes) {
+    return Status::IOError("truncated artifact: magic");
   }
-  char b[kHeaderBytes];
-  is_->read(b, sizeof(b));
-  if (!*is_) return Status::IOError("truncated artifact: magic");
-  Result<ArtifactHeader> header = ParseHeaderBytes(b);
+  Result<ArtifactHeader> header = ParseHeaderBytes(bytes.data());
   if (!header.ok()) return header.status();
   header_ = *header;
   header_read_ = true;
-  pos_ += kHeaderBytes;
+  pos_ = kHeaderBytes;
   return header_;
 }
 
@@ -471,27 +486,13 @@ Result<ArtifactHeader> ArtifactReader::Header() {
 }
 
 Status ArtifactReader::SkipPadding() {
-  if (header_.version < 3) return Status::OK();
   const uint64_t pad = PaddingFor(pos_);
-  if (pad == 0) return Status::OK();
-  if (mapped_ != nullptr) {
-    const std::string_view bytes = mapped_->bytes();
-    if (pad > bytes.size() - pos_) {
-      return Status::IOError("truncated artifact: section padding");
-    }
-    for (uint64_t i = 0; i < pad; ++i) {
-      if (bytes[pos_ + i] != '\0') {
-        return Status::InvalidArgument("nonzero section padding");
-      }
-    }
-    pos_ += pad;
-    return Status::OK();
+  const std::string_view bytes = source_->bytes();
+  if (pad > bytes.size() - pos_) {
+    return Status::IOError("truncated artifact: section padding");
   }
-  char b[kSectionAlignment];
-  is_->read(b, static_cast<std::streamsize>(pad));
-  if (!*is_) return Status::IOError("truncated artifact: section padding");
   for (uint64_t i = 0; i < pad; ++i) {
-    if (b[i] != '\0') {
+    if (bytes[pos_ + i] != '\0') {
       return Status::InvalidArgument("nonzero section padding");
     }
   }
@@ -505,7 +506,6 @@ Result<ArtifactReader::Section> ArtifactReader::ReadSection() {
         "artifact header must be read before sections");
   }
   Section section;
-  section.is_mapped = mapped_ != nullptr;
   GANC_RETURN_NOT_OK(GetU32(&section.id, "section id"));
   uint64_t size = 0;
   GANC_RETURN_NOT_OK(GetU64(&size, "section size"));
@@ -519,45 +519,21 @@ Result<ArtifactReader::Section> ArtifactReader::ReadSection() {
   if (section.id != kEndSectionId) {
     GANC_RETURN_NOT_OK(SkipPadding());
   }
-  if (mapped_ != nullptr) {
-    const std::string_view bytes = mapped_->bytes();
-    if (size > bytes.size() - pos_) {
-      return Status::IOError("truncated artifact: section payload");
-    }
-    section.view_ = bytes.substr(pos_, size);
-    pos_ += size;
-    uint64_t checksum = 0;
-    GANC_RETURN_NOT_OK(GetU64(&checksum, "section checksum"));
-    // Out-of-core policy: hashing a huge mapped payload would fault in
-    // every page up front, so only small sections (metadata, offsets)
-    // are verified here. Bulk sections stay bounds-checked; the stream
-    // reader remains the fully validating path.
-    if (size <= kMappedChecksumVerifyBytes &&
-        checksum != Fnv1aHash(section.view_.data(), section.view_.size())) {
-      return Status::InvalidArgument(
-          "section " + std::to_string(section.id) + " checksum mismatch");
-    }
-    return section;
+  const std::string_view bytes = source_->bytes();
+  if (size > bytes.size() - pos_) {
+    return Status::IOError("truncated artifact: section payload");
   }
-  // Read in bounded chunks so a truncated file with a forged huge size
-  // fails after one short read instead of allocating the claimed size
-  // up front.
-  constexpr uint64_t kReadChunk = 1 << 20;
-  section.owned_.reserve(
-      static_cast<size_t>(std::min<uint64_t>(size, kReadChunk)));
-  std::string chunk;
-  for (uint64_t left = size; left > 0;) {
-    const size_t n = static_cast<size_t>(std::min(left, kReadChunk));
-    chunk.resize(n);
-    is_->read(chunk.data(), static_cast<std::streamsize>(n));
-    if (!*is_) return Status::IOError("truncated artifact: section payload");
-    section.owned_.append(chunk, 0, n);
-    left -= n;
-  }
+  section.payload_ = bytes.substr(pos_, size);
   pos_ += size;
   uint64_t checksum = 0;
   GANC_RETURN_NOT_OK(GetU64(&checksum, "section checksum"));
-  if (checksum != Fnv1aHash(section.owned_.data(), section.owned_.size())) {
+  // Out-of-core policy: hashing a huge mapped payload would fault in
+  // every page up front, so a mapping verifies only small sections
+  // (metadata, offsets) and bounds-checks the bulk ones. An owned
+  // buffer is resident already, so every section is verified.
+  const bool verify =
+      !source_->mapped() || size <= kMappedChecksumVerifyBytes;
+  if (verify && checksum != Fnv1aHash(section.payload_.data(), size)) {
     return Status::InvalidArgument(
         "section " + std::to_string(section.id) + " checksum mismatch");
   }

@@ -1,7 +1,7 @@
 // Shared reader/writer for the GANC binary artifact format: the on-disk
 // representation behind model artifacts (Recommender::Save/Load), the
-// binary dataset cache (RatingDataset::SaveBinary/LoadBinary), and
-// pipeline state (GancPipeline::Save/Load).
+// binary dataset cache (RatingDataset::SaveBinary/Load), top-N stores
+// and pipeline state (GancPipeline::Save/Load).
 //
 // An artifact is a fixed header (magic, format version, artifact kind,
 // type tag) followed by a sequence of independently checksummed
@@ -11,25 +11,26 @@
 //   { [section id u32] [payload size u64] [pad] [payload] [FNV-1a u64] }*
 //   [end marker: id 0, size 0, FNV-1a of the empty payload]
 //
-// Since format version 3, zero bytes are inserted between the size
-// field and the payload so every payload starts on a 64-byte boundary
-// (`pad = (-offset) mod 64`, where offset is the absolute file position
-// after the size field; the end marker is never padded). Alignment is
-// what lets a memory-mapped artifact hand out borrowed views straight
-// into the page cache: offset tables, CSR rows, and factor tables are
-// read in place with zero copies. Version 2 artifacts (no padding) are
-// still read by the stream path.
+// Zero bytes are inserted between the size field and the payload so
+// every payload starts on a 64-byte boundary (`pad = (-offset) mod 64`,
+// where offset is the absolute file position after the size field; the
+// end marker is never padded). Alignment is what lets every load hand
+// out borrowed views straight into the artifact's bytes: offset tables,
+// CSR rows, and factor tables are read in place with zero copies.
 //
-// All integers and floats are little-endian; floats are raw IEEE-754
-// bits, so doubles round-trip bit-exactly. Every stream read is
-// validated: bad magic, an unknown version, a truncated stream, or a
-// corrupted section surfaces as a Status error, never as garbage state.
-// The mapped reader bounds-checks every record against the file size
-// (truncation is a typed error, not UB) but only verifies checksums of
-// payloads up to kMappedChecksumVerifyBytes — hashing a multi-GB
-// section would fault in every page and defeat the out-of-core point.
-// The normative spec lives in docs/FORMATS.md and must stay in sync
-// with the constants below (CI greps kGancFormatVersion in both files).
+// There is one read path: a file (or a nested artifact) becomes an
+// aligned byte span (ArtifactBytes: a mapping, a read() buffer or a
+// copy), and the one ArtifactReader parses that span. All integers and
+// floats are little-endian; floats are raw IEEE-754 bits, so doubles
+// round-trip bit-exactly. Every read is validated: bad magic, an
+// unsupported version (including the unpadded v2 layout), truncation,
+// or a corrupted section surfaces as a Status error, never as garbage
+// state. Checksums are verified for every section of an owned buffer;
+// in a mapping only payloads up to kMappedChecksumVerifyBytes are
+// hashed, since hashing a multi-GB section would fault in every page
+// and defeat the out-of-core point. The normative spec lives in
+// docs/FORMATS.md and must stay in sync with the constants below (CI
+// greps kGancFormatVersion in both files).
 
 #ifndef GANC_UTIL_SERIALIZE_H_
 #define GANC_UTIL_SERIALIZE_H_
@@ -37,9 +38,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <functional>
-#include <istream>
 #include <memory>
 #include <ostream>
 #include <span>
@@ -47,27 +46,23 @@
 #include <string_view>
 #include <vector>
 
-#include "util/binary_io.h"
 #include "util/mmap_region.h"
 #include "util/status.h"
 
 namespace ganc {
 
 /// Current on-disk format version, bumped on any incompatible layout
-/// change. Writers always emit this version; readers also accept older
-/// versions down to kMinSupportedReadVersion (stream path only).
+/// change. Writers emit and readers accept exactly this version; an
+/// older artifact gets a typed error naming its version.
 /// Keep docs/FORMATS.md in sync (CI greps the literal in both files).
 inline constexpr uint32_t kGancFormatVersion = 3;
-
-/// Oldest version the stream reader still accepts. v2 differs from v3
-/// only by the absence of section padding; v1 never shipped.
-inline constexpr uint32_t kMinSupportedReadVersion = 2;
 
 /// Section payloads start on this boundary from format v3 on.
 inline constexpr uint64_t kSectionAlignment = 64;
 
-/// The mapped reader verifies checksums only for payloads at most this
-/// large; bigger sections are bounds-checked but read lazily in place.
+/// Mapped sections are checksummed only up to this payload size; bigger
+/// ones are bounds-checked but read lazily in place. Sections of owned
+/// buffers are always checksummed.
 inline constexpr uint64_t kMappedChecksumVerifyBytes = 1ULL << 20;  // 1 MiB
 
 /// 8-byte file magic, "GANCART" + NUL.
@@ -90,11 +85,29 @@ inline constexpr uint32_t kEndSectionId = 0;
 /// before allocating).
 inline constexpr uint64_t kMaxSectionBytes = 1ULL << 34;  // 16 GiB
 
-/// Host endianness gate for the bulk memcpy/borrow fast paths; the
-/// element-wise fallbacks keep big-endian hosts correct (without
-/// zero-copy).
+/// Host endianness gate for the bulk memcpy/borrow fast paths. Writers
+/// and the copying PayloadReader reads stay correct on big-endian hosts
+/// through element-wise fallbacks; the artifact loaders borrow tables
+/// in place and so need a little-endian host (BorrowVec returns
+/// NotImplemented elsewhere).
 inline constexpr bool kGancHostIsLittleEndian =
     std::endian::native == std::endian::little;
+
+/// FNV-1a 64-bit hash of a byte buffer (stable across platforms): the
+/// section checksum, and the basis of dataset fingerprints.
+uint64_t Fnv1aHash(const void* data, size_t size);
+
+/// Incremental FNV-1a 64: Update in any chunking yields the same digest
+/// as one Fnv1aHash over the concatenation (used for checksums and
+/// fingerprints that are streamed rather than buffered).
+class Fnv1aHasher {
+ public:
+  Fnv1aHasher& Update(const void* data, size_t size);
+  uint64_t digest() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
 
 /// Accumulates a section payload in memory with little-endian encoding.
 /// Vector writers prepend a u64 element count.
@@ -161,9 +174,9 @@ class PayloadReader {
 
   /// Zero-copy read of a [count u64][elements] vector: the returned
   /// span aliases the payload bytes, valid only as long as the backing
-  /// storage (for mapped artifacts, the mapping). Requires a
-  /// little-endian host and element-aligned data — misalignment is a
-  /// typed error, since a v3 writer always aligns borrowable tables.
+  /// storage (the artifact's ArtifactBytes). Requires a little-endian
+  /// host and element-aligned data — misalignment is a typed error,
+  /// since a v3 writer always aligns borrowable tables.
   template <typename T>
   Status BorrowVec(std::span<const T>* out) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -179,7 +192,7 @@ class PayloadReader {
     const char* base = bytes_.data() + pos_;
     if (reinterpret_cast<uintptr_t>(base) % alignof(T) != 0) {
       return Status::InvalidArgument(
-          "misaligned vector data in mapped section payload");
+          "misaligned vector data in section payload");
     }
     *out = std::span<const T>(reinterpret_cast<const T*>(base),
                               static_cast<size_t>(count));
@@ -247,66 +260,63 @@ class ArtifactWriter {
   Fnv1aHasher hasher_;
 };
 
-/// A whole artifact file mapped read-only, shared by every borrowed
-/// view into it (datasets, stores, and factor tables hold a
-/// shared_ptr<const MappedArtifact> keepalive). Open() requires format
-/// v3 — earlier versions lack the alignment guarantee — and signals
-/// "use the stream reader instead" with kFailedPrecondition (old
-/// version) or kNotImplemented (no mmap on this platform).
-class MappedArtifact {
+/// The bytes of one whole artifact, kept alive by every view borrowed
+/// from them (datasets, stores and factor tables hold a
+/// shared_ptr<const ArtifactBytes> keepalive). Three sources, each with
+/// the artifact's first byte on a 64-byte boundary, so v3 payload
+/// alignment in the file is address alignment in memory:
+///  - a read-only file mapping (Open with prefer_mmap, where the
+///    platform has mmap): pages fault in on first touch;
+///  - read() of the whole file into an owned aligned buffer (Open
+///    otherwise);
+///  - an owned aligned copy of in-memory bytes (Copy), for a nested
+///    artifact and for tests.
+class ArtifactBytes {
  public:
-  static Result<MappedArtifact> Open(const std::string& path);
+  static Result<std::shared_ptr<const ArtifactBytes>> Open(
+      const std::string& path, bool prefer_mmap);
+  static std::shared_ptr<const ArtifactBytes> Copy(std::string_view bytes);
 
-  std::string_view bytes() const { return region_.bytes(); }
-  const ArtifactHeader& header() const { return header_; }
-  const std::string& path() const { return path_; }
+  std::string_view bytes() const { return bytes_; }
+  /// True for the file mapping, whose clean pages may be handed back
+  /// (ReleaseMappedPages) and refault from the page cache. Owned
+  /// buffers are heap memory and must never be released that way.
+  bool mapped() const { return region_.valid(); }
 
  private:
+  struct AlignedDelete {
+    void operator()(char* p) const;
+  };
+  static std::shared_ptr<ArtifactBytes> Allocate(size_t size);
+
   MmapRegion region_;
-  ArtifactHeader header_;
-  std::string path_;
+  std::unique_ptr<char[], AlignedDelete> owned_;
+  std::string_view bytes_;
 };
 
-/// Opens `path` as a shared mapped artifact (see MappedArtifact::Open
-/// for the fallback error codes).
-Result<std::shared_ptr<const MappedArtifact>> OpenMappedArtifact(
-    const std::string& path);
-
-/// True when `status` means "the mapped path is unavailable here, fall
-/// back to the stream reader" rather than "the artifact is bad":
-/// kNotImplemented (no mmap) or kFailedPrecondition (pre-v3 artifact).
-bool IsMmapFallback(const Status& status);
-
-/// Validating reader over an artifact, with two interchangeable
-/// backends: a stream (payloads copied into the section, checksums
-/// always verified) or a mapped artifact (payloads borrowed in place;
-/// see the header comment for the checksum policy). Load
-/// implementations written against Section::payload() work identically
-/// over both.
+/// Validating reader over an artifact's bytes. Every record is
+/// bounds-checked against the source (truncation is a typed error, not
+/// UB) and section payloads are views into the source, never copies.
+/// Checksums: every section read from an owned buffer is verified;
+/// mapped sections are verified up to kMappedChecksumVerifyBytes, and
+/// bigger ones stay bounds-checked only.
 class ArtifactReader {
  public:
-  struct Section {
+  class Section {
+   public:
     uint32_t id = kEndSectionId;
-    /// True when payload() borrows from a mapped artifact (and may be
-    /// handed out as a long-lived view together with the reader's
-    /// mapped_artifact() keepalive). When false, payload() points at
-    /// `owned` and is invalidated by destroying the Section.
-    bool is_mapped = false;
+    /// Borrowed from the reader's source(): valid while a reference to
+    /// the source is held.
+    std::string_view payload() const { return payload_; }
 
-    std::string_view payload() const {
-      return is_mapped ? view_ : std::string_view(owned_);
-    }
-
-    // Backing storage; use payload() instead of touching these.
-    std::string owned_;
-    std::string_view view_;
+   private:
+    friend class ArtifactReader;
+    std::string_view payload_;
   };
 
-  /// Stream backend. The stream must be positioned at the artifact's
-  /// first byte (the reader tracks offsets itself for v3 padding).
-  explicit ArtifactReader(std::istream& is) : is_(&is) {}
-  /// Mapped backend (zero-copy sections).
-  explicit ArtifactReader(std::shared_ptr<const MappedArtifact> mapped);
+  /// Reads from the artifact's first byte.
+  explicit ArtifactReader(std::shared_ptr<const ArtifactBytes> source)
+      : source_(std::move(source)) {}
 
   /// Validates magic + version and returns the header.
   Result<ArtifactHeader> ReadHeader();
@@ -322,10 +332,10 @@ class ArtifactReader {
   /// path every Load implementation uses).
   Result<Section> ReadSectionExpect(uint32_t id);
 
-  bool mapped() const { return mapped_ != nullptr; }
-  /// Null for the stream backend.
-  const std::shared_ptr<const MappedArtifact>& mapped_artifact() const {
-    return mapped_;
+  /// The bytes every section payload views; loaders that keep borrowed
+  /// views hold this as their keepalive.
+  const std::shared_ptr<const ArtifactBytes>& source() const {
+    return source_;
   }
 
  private:
@@ -333,12 +343,16 @@ class ArtifactReader {
   Status GetU64(uint64_t* out, const char* what);
   Status SkipPadding();
 
-  std::istream* is_ = nullptr;
-  std::shared_ptr<const MappedArtifact> mapped_;
-  uint64_t pos_ = 0;  // absolute offset from the artifact's first byte
+  std::shared_ptr<const ArtifactBytes> source_;
+  uint64_t pos_ = 0;  // offset from the artifact's first byte
   bool header_read_ = false;
   ArtifactHeader header_;
 };
+
+/// ArtifactBytes::Open(path, prefer_mmap) wrapped in a reader: the
+/// shared entry of every path-based loader.
+Result<ArtifactReader> OpenArtifact(const std::string& path,
+                                    bool prefer_mmap);
 
 /// Validates header kind/tag with descriptive errors ("artifact holds a
 /// dataset cache, expected a model", "model artifact holds type 6,
@@ -356,16 +370,6 @@ Status ExpectEndOfArtifact(ArtifactReader& r);
 /// every SaveXxxFile entry point.
 Status WriteArtifactFile(const std::string& path,
                          const std::function<Status(std::ostream&)>& write);
-
-/// Opens `path` for binary reading and runs `read` on the stream,
-/// returning whatever it returns (a Status or any Result<T>).
-template <typename Fn>
-auto ReadArtifactFile(const std::string& path, Fn&& read)
-    -> decltype(read(std::declval<std::istream&>())) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Status::IOError("cannot open " + path);
-  return read(is);
-}
 
 }  // namespace ganc
 

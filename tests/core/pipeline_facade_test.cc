@@ -111,7 +111,7 @@ TEST(PipelineFacadeTest, CreateOverNonResidentMappedDataset) {
   const std::string path =
       ::testing::TempDir() + "/pipeline_facade_mapped.gdc";
   ASSERT_TRUE(eager.SaveBinaryFile(path).ok());
-  auto mapped = RatingDataset::LoadMappedFile(path);
+  auto mapped = RatingDataset::LoadFileAuto(path, /*prefer_mmap=*/true);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   ASSERT_FALSE(mapped->ResidencyMaterialized());
 

@@ -54,8 +54,8 @@ std::string Serialize(const GancPipeline& pipeline) {
 TEST(PipelineIoTest, RoundTripReproducesRecommendAllExactly) {
   const RatingDataset train = MakeData();
   const std::unique_ptr<GancPipeline> pipeline = MakePipeline(train);
-  std::istringstream is(Serialize(*pipeline), std::ios::binary);
-  Result<std::unique_ptr<GancPipeline>> loaded = GancPipeline::Load(is, train);
+  ArtifactReader r(ArtifactBytes::Copy(Serialize(*pipeline)));
+  Result<std::unique_ptr<GancPipeline>> loaded = GancPipeline::Load(r, train);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   EXPECT_EQ((*loaded)->name(), pipeline->name());
@@ -83,8 +83,8 @@ TEST(PipelineIoTest, IndicatorAccuracyConfigSurvives) {
   auto pipeline = GancPipeline::Create(std::make_unique<PopRecommender>(),
                                        train, config);
   ASSERT_TRUE(pipeline.ok());
-  std::istringstream is(Serialize(**pipeline), std::ios::binary);
-  Result<std::unique_ptr<GancPipeline>> loaded = GancPipeline::Load(is, train);
+  ArtifactReader r(ArtifactBytes::Copy(Serialize(**pipeline)));
+  Result<std::unique_ptr<GancPipeline>> loaded = GancPipeline::Load(r, train);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   auto topn_a = (*pipeline)->RecommendAll();
   auto topn_b = (*loaded)->RecommendAll();
@@ -108,8 +108,8 @@ TEST(PipelineIoTest, MismatchedTrainRejected) {
   const RatingDataset train = MakeData();
   const RatingDataset other = MakeData(25, 40);
   const std::unique_ptr<GancPipeline> pipeline = MakePipeline(train);
-  std::istringstream is(Serialize(*pipeline), std::ios::binary);
-  Result<std::unique_ptr<GancPipeline>> loaded = GancPipeline::Load(is, other);
+  ArtifactReader r(ArtifactBytes::Copy(Serialize(*pipeline)));
+  Result<std::unique_ptr<GancPipeline>> loaded = GancPipeline::Load(r, other);
   EXPECT_FALSE(loaded.ok());
 }
 
@@ -122,9 +122,9 @@ TEST(PipelineIoTest, SameDimsDifferentSplitRejected) {
   ASSERT_EQ(same_dims.num_users(), train.num_users());
   ASSERT_EQ(same_dims.num_items(), train.num_items());
   const std::unique_ptr<GancPipeline> pipeline = MakePipeline(train);
-  std::istringstream is(Serialize(*pipeline), std::ios::binary);
+  ArtifactReader r(ArtifactBytes::Copy(Serialize(*pipeline)));
   Result<std::unique_ptr<GancPipeline>> loaded =
-      GancPipeline::Load(is, same_dims);
+      GancPipeline::Load(r, same_dims);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("fingerprint"), std::string::npos);
 }
@@ -135,8 +135,8 @@ TEST(PipelineIoTest, CorruptEmbeddedModelRejected) {
   std::string bytes = Serialize(*pipeline);
   // The embedded model artifact is the last section; corrupt its tail.
   bytes[bytes.size() - 30] ^= 0x5A;
-  std::istringstream is(bytes, std::ios::binary);
-  EXPECT_FALSE(GancPipeline::Load(is, train).ok());
+  ArtifactReader r(ArtifactBytes::Copy(bytes));
+  EXPECT_FALSE(GancPipeline::Load(r, train).ok());
 }
 
 TEST(PipelineIoTest, TruncationRejected) {
@@ -144,8 +144,8 @@ TEST(PipelineIoTest, TruncationRejected) {
   const std::string bytes = Serialize(*MakePipeline(train));
   for (const size_t keep : {size_t{0}, size_t{16}, size_t{64},
                             bytes.size() / 2, bytes.size() - 1}) {
-    std::istringstream is(bytes.substr(0, keep), std::ios::binary);
-    EXPECT_FALSE(GancPipeline::Load(is, train).ok()) << "kept " << keep;
+    ArtifactReader r(ArtifactBytes::Copy(bytes.substr(0, keep)));
+    EXPECT_FALSE(GancPipeline::Load(r, train).ok()) << "kept " << keep;
   }
 }
 
@@ -153,9 +153,9 @@ TEST(PipelineIoTest, ThreadedLoadIsByteIdentical) {
   const RatingDataset train = MakeData();
   const std::unique_ptr<GancPipeline> pipeline = MakePipeline(train);
   const std::string bytes = Serialize(*pipeline);
-  std::istringstream is(bytes, std::ios::binary);
+  ArtifactReader r(ArtifactBytes::Copy(bytes));
   Result<std::unique_ptr<GancPipeline>> loaded =
-      GancPipeline::Load(is, train, /*num_threads=*/2);
+      GancPipeline::Load(r, train, /*num_threads=*/2);
   ASSERT_TRUE(loaded.ok());
   auto topn_a = pipeline->RecommendAll();
   auto topn_b = (*loaded)->RecommendAll();

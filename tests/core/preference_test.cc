@@ -191,7 +191,7 @@ TEST(ComputePreferenceTest, MappedNonResidentDatasetMatchesEager) {
   for (PreferenceModel m :
        {PreferenceModel::kActivity, PreferenceModel::kNormalized,
         PreferenceModel::kTfidf, PreferenceModel::kGeneralized}) {
-    auto mapped = RatingDataset::LoadMappedFile(path);
+    auto mapped = RatingDataset::LoadFileAuto(path, /*prefer_mmap=*/true);
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     ASSERT_FALSE(mapped->ResidencyMaterialized());
     auto want = ComputePreference(m, eager);

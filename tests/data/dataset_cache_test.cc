@@ -1,4 +1,4 @@
-// Binary dataset cache: SaveBinary/LoadBinary must reproduce the saved
+// Binary dataset cache: SaveBinary/Load must reproduce the saved
 // dataset exactly (dimensions, observation order, per-user and per-item
 // indexes) and reject corrupt or structurally invalid caches.
 
@@ -36,10 +36,16 @@ std::string Serialize(const RatingDataset& ds) {
   return os.str();
 }
 
+// Loads a cache from in-memory bytes (the aligned-copy byte source).
+Result<RatingDataset> LoadBytes(const std::string& bytes) {
+  ArtifactReader r(ArtifactBytes::Copy(bytes));
+  return RatingDataset::Load(r);
+}
+
 RatingDataset Deserialize(const std::string& bytes) {
-  std::istringstream is(bytes, std::ios::binary);
-  auto ds = RatingDataset::LoadBinary(is);
+  auto ds = LoadBytes(bytes);
   EXPECT_TRUE(ds.ok()) << ds.status().ToString();
+  EXPECT_TRUE(ds->EnsureResident().ok());
   return std::move(ds).value();
 }
 
@@ -125,15 +131,22 @@ TEST(DatasetCacheTest, FileRoundTrip) {
   const RatingDataset ds = MakeData();
   const std::string path = ::testing::TempDir() + "/ganc_cache_test.gdc";
   ASSERT_TRUE(ds.SaveBinaryFile(path).ok());
-  auto back = RatingDataset::LoadBinaryFile(path);
-  ASSERT_TRUE(back.ok());
-  ExpectIdentical(ds, *back);
+  for (const bool prefer_mmap : {true, false}) {
+    auto back = RatingDataset::LoadFileAuto(path, prefer_mmap);
+    ASSERT_TRUE(back.ok());
+    ASSERT_TRUE(back->EnsureResident().ok());
+    ExpectIdentical(ds, *back);
+  }
   std::filesystem::remove(path);
 }
 
 TEST(DatasetCacheTest, MissingFileIsIOError) {
-  EXPECT_EQ(RatingDataset::LoadBinaryFile("/nonexistent/x.gdc").status().code(),
-            StatusCode::kIOError);
+  for (const bool prefer_mmap : {true, false}) {
+    EXPECT_EQ(RatingDataset::LoadFileAuto("/nonexistent/x.gdc", prefer_mmap)
+                  .status()
+                  .code(),
+              StatusCode::kIOError);
+  }
 }
 
 TEST(DatasetCacheTest, CorruptionRejected) {
@@ -143,8 +156,7 @@ TEST(DatasetCacheTest, CorruptionRejected) {
   for (size_t i = 0; i < bytes.size(); i += 7) {
     std::string corrupt = bytes;
     corrupt[i] ^= 0x5A;
-    std::istringstream is(corrupt, std::ios::binary);
-    EXPECT_FALSE(RatingDataset::LoadBinary(is).ok()) << "byte " << i;
+    EXPECT_FALSE(LoadBytes(corrupt).ok()) << "byte " << i;
   }
 }
 
@@ -152,8 +164,7 @@ TEST(DatasetCacheTest, TruncationRejected) {
   const std::string bytes = Serialize(MakeData());
   for (const size_t keep : {size_t{0}, size_t{10}, size_t{24}, size_t{100},
                             bytes.size() / 2, bytes.size() - 1}) {
-    std::istringstream is(bytes.substr(0, keep), std::ios::binary);
-    EXPECT_FALSE(RatingDataset::LoadBinary(is).ok()) << "kept " << keep;
+    EXPECT_FALSE(LoadBytes(bytes.substr(0, keep)).ok()) << "kept " << keep;
   }
 }
 
@@ -164,8 +175,7 @@ TEST(DatasetCacheTest, ModelArtifactRejected) {
   ArtifactWriter w(os);
   ASSERT_TRUE(w.WriteHeader(ArtifactKind::kModel, 1).ok());
   ASSERT_TRUE(w.Finish().ok());
-  std::istringstream is(os.str(), std::ios::binary);
-  auto back = RatingDataset::LoadBinary(is);
+  auto back = LoadBytes(os.str());
   ASSERT_FALSE(back.ok());
   EXPECT_NE(back.status().message().find("kind"), std::string::npos);
 }

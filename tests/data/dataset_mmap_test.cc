@@ -1,13 +1,14 @@
-// Mapped dataset cache: LoadMappedFile must expose exactly the dataset
-// the eager loader reconstructs (rows, indexes, fingerprint, ratings
-// order after EnsureResident), stay O(users) before residency, reject
-// corrupt row data at EnsureResident, and fall back cleanly through
-// LoadFileAuto for pre-v3 caches.
+// Loaded dataset cache: through either byte source (file mapping or
+// read() buffer) Load must expose exactly the saved dataset (rows,
+// indexes, fingerprint, ratings order after EnsureResident), stay
+// O(users) before residency, and reject truncation and corrupt row data
+// with typed errors.
 
 #include "data/dataset.h"
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,42 +61,40 @@ void ExpectIdentical(const RatingDataset& a, const RatingDataset& b) {
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
 }
 
-TEST(DatasetMmapTest, MappedEqualsEagerAfterResidency) {
+TEST(DatasetMmapTest, EachByteSourceEqualsTheOriginalAfterResidency) {
   const RatingDataset original = MakeData();
   const std::string path = TestPath("dataset_mmap_parity.gdc");
   ASSERT_TRUE(original.SaveBinaryFile(path).ok());
 
-  auto eager = RatingDataset::LoadBinaryFile(path);
-  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
-  auto mapped = RatingDataset::LoadMappedFile(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_TRUE(mapped->IsMapped());
-  EXPECT_FALSE(eager->IsMapped());
+  for (const bool prefer_mmap : {true, false}) {
+    SCOPED_TRACE(prefer_mmap ? "mapped" : "read()");
+    auto loaded = RatingDataset::LoadFileAuto(path, prefer_mmap);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->IsMapped(), prefer_mmap);
 
-  // Pre-residency surface: dimensions, rows, activity, and the stored
-  // fingerprint are available without touching derived indexes.
-  EXPECT_EQ(mapped->num_users(), original.num_users());
-  EXPECT_EQ(mapped->num_ratings(), original.num_ratings());
-  EXPECT_EQ(mapped->Fingerprint(), original.Fingerprint());
-  EXPECT_EQ(mapped->Activity(3), original.Activity(3));
+    // Pre-residency surface: dimensions, rows, activity, and the stored
+    // fingerprint are available without touching derived indexes.
+    EXPECT_FALSE(loaded->ResidencyMaterialized());
+    EXPECT_EQ(loaded->num_users(), original.num_users());
+    EXPECT_EQ(loaded->num_ratings(), original.num_ratings());
+    EXPECT_EQ(loaded->Fingerprint(), original.Fingerprint());
+    EXPECT_EQ(loaded->Activity(3), original.Activity(3));
 
-  ASSERT_TRUE(mapped->EnsureResident().ok());
-  ExpectIdentical(*eager, *mapped);
-  ExpectIdentical(original, *mapped);
+    ASSERT_TRUE(loaded->EnsureResident().ok());
+    ExpectIdentical(original, *loaded);
+  }
 }
 
-TEST(DatasetMmapTest, LoadFileAutoPrefersAndFallsBack) {
+TEST(DatasetMmapTest, InMemoryBytesLoadLikeTheFile) {
   const RatingDataset original = MakeData();
-  const std::string path = TestPath("dataset_mmap_auto.gdc");
-  ASSERT_TRUE(original.SaveBinaryFile(path).ok());
-
-  auto preferred = RatingDataset::LoadFileAuto(path, /*prefer_mmap=*/true);
-  ASSERT_TRUE(preferred.ok()) << preferred.status().ToString();
-  auto streamed = RatingDataset::LoadFileAuto(path, /*prefer_mmap=*/false);
-  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-  EXPECT_FALSE(streamed->IsMapped());
-  ASSERT_TRUE(preferred->EnsureResident().ok());
-  ExpectIdentical(*streamed, *preferred);
+  std::ostringstream os(std::ios::binary);
+  ASSERT_TRUE(original.SaveBinary(os).ok());
+  ArtifactReader r(ArtifactBytes::Copy(os.str()));
+  auto loaded = RatingDataset::Load(r);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_FALSE(loaded->IsMapped());
+  ASSERT_TRUE(loaded->EnsureResident().ok());
+  ExpectIdentical(original, *loaded);
 }
 
 TEST(DatasetMmapTest, TruncationIsATypedErrorNotUB) {
@@ -113,10 +112,12 @@ TEST(DatasetMmapTest, TruncationIsATypedErrorNotUB) {
     std::ofstream os(cut_path, std::ios::binary | std::ios::trunc);
     os.write(bytes.data(), static_cast<std::streamsize>(cut));
     os.close();
-    auto mapped = RatingDataset::LoadMappedFile(cut_path);
-    if (!mapped.ok()) continue;  // typed rejection at open
-    // An open that survived must still fail validation, not crash.
-    EXPECT_FALSE(mapped->EnsureResident().ok()) << "cut " << cut;
+    for (const bool prefer_mmap : {true, false}) {
+      auto loaded = RatingDataset::LoadFileAuto(cut_path, prefer_mmap);
+      if (!loaded.ok()) continue;  // typed rejection at open
+      // An open that survived must still fail validation, not crash.
+      EXPECT_FALSE(loaded->EnsureResident().ok()) << "cut " << cut;
+    }
   }
 }
 
@@ -136,16 +137,15 @@ TEST(DatasetMmapTest, CorruptRowDataRejectedAtResidency) {
   // mapped reader still checksums it, so corrupt bytes surface at
   // section read. To exercise the *structural* validation instead,
   // rewrite the checksum to match the corrupted payload.
-  std::istringstream is(bytes, std::ios::binary);
-  ArtifactReader r(is);
+  ArtifactReader r(ArtifactBytes::Copy(bytes));
   ASSERT_TRUE(r.ReadHeader().ok());
   ASSERT_TRUE(r.ReadSectionExpect(1).ok());
   ASSERT_TRUE(r.ReadSectionExpect(2).ok());
   auto rows = r.ReadSectionExpect(6);
   ASSERT_TRUE(rows.ok());
   const size_t rows_payload_size = rows->payload().size();
-  const size_t rows_payload_off = bytes.find(rows->payload());
-  ASSERT_NE(rows_payload_off, std::string::npos);
+  const size_t rows_payload_off = static_cast<size_t>(
+      rows->payload().data() - r.source()->bytes().data());
   // First row entry's item id: payload starts with the u64 count.
   const size_t item_off = rows_payload_off + 8;
   bytes[item_off + 3] = static_cast<char>(0x7F);  // item id becomes huge
@@ -160,14 +160,16 @@ TEST(DatasetMmapTest, CorruptRowDataRejectedAtResidency) {
     std::ofstream os(bad_path, std::ios::binary | std::ios::trunc);
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  auto mapped = RatingDataset::LoadMappedFile(bad_path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  Status s = mapped->EnsureResident();
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.ToString().find("out of range"), std::string::npos)
-      << s.ToString();
-  // The validation error is sticky: a second call reports it again.
-  EXPECT_FALSE(mapped->EnsureResident().ok());
+  for (const bool prefer_mmap : {true, false}) {
+    auto loaded = RatingDataset::LoadFileAuto(bad_path, prefer_mmap);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    Status s = loaded->EnsureResident();
+    ASSERT_FALSE(s.ok());
+    EXPECT_NE(s.ToString().find("out of range"), std::string::npos)
+        << s.ToString();
+    // The validation error is sticky: a second call reports it again.
+    EXPECT_FALSE(loaded->EnsureResident().ok());
+  }
 }
 
 TEST(DatasetMmapTest, StreamWriterOutputIsByteIdenticalToSaveBinary) {
@@ -207,8 +209,8 @@ TEST(DatasetMmapTest, StreamWriterOutputIsByteIdenticalToSaveBinary) {
   // Rebuilding in CSR order never changes the fingerprint (it is
   // order-insensitive by construction), so the streamed file's stored
   // fingerprint matches the sampled-order original too.
-  std::istringstream streamed_is(streamed.str(), std::ios::binary);
-  auto streamed_ds = RatingDataset::LoadBinary(streamed_is);
+  ArtifactReader streamed_reader(ArtifactBytes::Copy(streamed.str()));
+  auto streamed_ds = RatingDataset::Load(streamed_reader);
   ASSERT_TRUE(streamed_ds.ok()) << streamed_ds.status().ToString();
   EXPECT_EQ(streamed_ds->Fingerprint(), original.Fingerprint());
 }
@@ -235,8 +237,8 @@ TEST(DatasetMmapTest, StreamWriterValidatesRows) {
   EXPECT_TRUE((*writer)->AppendRow(last).ok());
   EXPECT_TRUE((*writer)->Finish().ok());
   // The result is a loadable cache.
-  std::istringstream is(os.str(), std::ios::binary);
-  auto ds = RatingDataset::LoadBinary(is);
+  ArtifactReader r(ArtifactBytes::Copy(os.str()));
+  auto ds = RatingDataset::Load(r);
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
   EXPECT_EQ(ds->num_ratings(), 3);
 }

@@ -1,8 +1,9 @@
 // Budgeted row-window sweeps: PlanRowWindows must cover every user
 // exactly once in block-aligned windows that respect the byte budget,
 // SweepRowWindows must visit the same rows for every budget without
-// materializing a mapped dataset, and corrupt mapped rows must surface
-// as a sweep error instead of being handed to a trainer.
+// materializing a loaded dataset (mapped or read into memory), and
+// corrupt loaded rows must surface as a sweep error instead of being
+// handed to a trainer.
 
 #include "data/dataset.h"
 
@@ -103,26 +104,29 @@ TEST(DatasetSweepTest, SweepContentIsBudgetInvariant) {
   const RatingDataset eager = MakeData();
   const std::string path = TestPath("dataset_sweep_parity.gdc");
   ASSERT_TRUE(eager.SaveBinaryFile(path).ok());
-  auto mapped = RatingDataset::LoadMappedFile(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-
   const std::vector<ItemRating> reference = SweptRows(eager, 0, 1);
-  for (const int64_t budget : {int64_t{0}, int64_t{256}, int64_t{4096},
-                               int64_t{1} << 30}) {
-    for (const int32_t align : {1, 7, 64}) {
-      const std::vector<ItemRating> got = SweptRows(*mapped, budget, align);
-      ASSERT_EQ(got.size(), reference.size());
-      for (size_t k = 0; k < got.size(); ++k) {
-        ASSERT_EQ(got[k].item, reference[k].item)
-            << "budget " << budget << " align " << align << " at " << k;
-        ASSERT_EQ(got[k].value, reference[k].value)
-            << "budget " << budget << " align " << align << " at " << k;
+  for (const bool prefer_mmap : {true, false}) {
+    SCOPED_TRACE(prefer_mmap ? "mapped" : "read()");
+    auto loaded = RatingDataset::LoadFileAuto(path, prefer_mmap);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    for (const int64_t budget : {int64_t{0}, int64_t{256}, int64_t{4096},
+                                 int64_t{1} << 30}) {
+      for (const int32_t align : {1, 7, 64}) {
+        const std::vector<ItemRating> got = SweptRows(*loaded, budget, align);
+        ASSERT_EQ(got.size(), reference.size());
+        for (size_t k = 0; k < got.size(); ++k) {
+          ASSERT_EQ(got[k].item, reference[k].item)
+              << "budget " << budget << " align " << align << " at " << k;
+          ASSERT_EQ(got[k].value, reference[k].value)
+              << "budget " << budget << " align " << align << " at " << k;
+        }
       }
     }
+    // The sweeps validated (and, when mapped, released pages); nothing
+    // was materialized.
+    EXPECT_EQ(loaded->IsMapped(), prefer_mmap);
+    EXPECT_FALSE(loaded->ResidencyMaterialized());
   }
-  // The sweeps validated and released pages; nothing was materialized.
-  EXPECT_TRUE(mapped->IsMapped());
-  EXPECT_FALSE(mapped->ResidencyMaterialized());
   std::remove(path.c_str());
 }
 
@@ -136,26 +140,25 @@ TEST(DatasetSweepTest, SweepStopsOnCallbackError) {
   EXPECT_EQ(calls, 2);
 }
 
-TEST(DatasetSweepTest, SweepRejectsCorruptMappedRows) {
+TEST(DatasetSweepTest, SweepRejectsCorruptLoadedRows) {
   const RatingDataset ds = MakeData();
   std::ostringstream buf(std::ios::binary);
   ASSERT_TRUE(ds.SaveBinary(buf).ok());
   std::string bytes = buf.str();
 
-  // Corrupt a row entry and re-seal the section checksum so the mapped
-  // loader accepts the file and the *structural* row validation inside
+  // Corrupt a row entry and re-seal the section checksum so the loader
+  // accepts the file and the *structural* row validation inside
   // the sweep has to catch it (same construction as the EnsureResident
   // corrupt-row test).
-  std::istringstream is(bytes, std::ios::binary);
-  ArtifactReader r(is);
+  ArtifactReader r(ArtifactBytes::Copy(bytes));
   ASSERT_TRUE(r.ReadHeader().ok());
   ASSERT_TRUE(r.ReadSectionExpect(1).ok());
   ASSERT_TRUE(r.ReadSectionExpect(2).ok());
   auto rows = r.ReadSectionExpect(6);
   ASSERT_TRUE(rows.ok());
   const size_t rows_payload_size = rows->payload().size();
-  const size_t rows_payload_off = bytes.find(rows->payload());
-  ASSERT_NE(rows_payload_off, std::string::npos);
+  const size_t rows_payload_off = static_cast<size_t>(
+      rows->payload().data() - r.source()->bytes().data());
   const size_t item_off = rows_payload_off + 8;  // skip the u64 count
   bytes[item_off + 3] = static_cast<char>(0x7F);  // item id becomes huge
   const uint64_t fixed_checksum =
@@ -170,19 +173,21 @@ TEST(DatasetSweepTest, SweepRejectsCorruptMappedRows) {
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
-  auto mapped = RatingDataset::LoadMappedFile(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  const Status swept =
-      mapped->SweepRowWindows(1024, 1, [](const RowWindow&) {
-        return Status::OK();
-      });
-  ASSERT_FALSE(swept.ok());
-  EXPECT_NE(swept.ToString().find("out of range"), std::string::npos)
-      << swept.ToString();
-  // The error is sticky across retries, like EnsureResident's.
-  EXPECT_FALSE(mapped->SweepRowWindows(1024, 1, [](const RowWindow&) {
-                 return Status::OK();
-               }).ok());
+  for (const bool prefer_mmap : {true, false}) {
+    auto loaded = RatingDataset::LoadFileAuto(path, prefer_mmap);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const Status swept =
+        loaded->SweepRowWindows(1024, 1, [](const RowWindow&) {
+          return Status::OK();
+        });
+    ASSERT_FALSE(swept.ok());
+    EXPECT_NE(swept.ToString().find("out of range"), std::string::npos)
+        << swept.ToString();
+    // The error is sticky across retries, like EnsureResident's.
+    EXPECT_FALSE(loaded->SweepRowWindows(1024, 1, [](const RowWindow&) {
+                   return Status::OK();
+                 }).ok());
+  }
   std::remove(path.c_str());
 }
 

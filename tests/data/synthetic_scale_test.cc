@@ -80,13 +80,14 @@ TEST(SyntheticScaleTest, OutputLoadsWithMatchingFingerprintAndBounds) {
   auto nnz = GenerateSyntheticStream(spec, path);
   ASSERT_TRUE(nnz.ok());
 
-  // Mapped and eager loads agree; the stored fingerprint matches a
+  // Mapped and read() loads agree; the stored fingerprint matches a
   // from-scratch recomputation over the loaded rows.
-  auto mapped = RatingDataset::LoadMappedFile(path);
+  auto mapped = RatingDataset::LoadFileAuto(path, /*prefer_mmap=*/true);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   ASSERT_TRUE(mapped->EnsureResident().ok());
-  auto eager = RatingDataset::LoadBinaryFile(path);
+  auto eager = RatingDataset::LoadFileAuto(path, /*prefer_mmap=*/false);
   ASSERT_TRUE(eager.ok());
+  ASSERT_TRUE(eager->EnsureResident().ok());
   EXPECT_EQ(mapped->num_ratings(), *nnz);
   EXPECT_EQ(eager->num_ratings(), *nnz);
   EXPECT_EQ(mapped->Fingerprint(), eager->Fingerprint());
@@ -120,8 +121,9 @@ TEST(SyntheticScaleTest, ZipfHeadDominatesTail) {
   const ScaleSyntheticSpec spec = SmallSpec();
   const std::string path = TestPath("scale_zipf.gdc");
   ASSERT_TRUE(GenerateSyntheticStream(spec, path).ok());
-  auto ds = RatingDataset::LoadBinaryFile(path);
+  auto ds = RatingDataset::LoadFileAuto(path, /*prefer_mmap=*/false);
   ASSERT_TRUE(ds.ok());
+  ASSERT_TRUE(ds->EnsureResident().ok());
 
   // Item ids are popularity rank (0 most popular). The head 10% of the
   // catalog must hold well over its uniform share of ratings, and the

@@ -145,6 +145,13 @@ TEST(FactorStoreTest, ResidentBytesShrinkFourFoldAtInt8) {
   EXPECT_GE(fp64.ResidentBytes(), 4 * int8.ResidentBytes());
 }
 
+// Parses `payload` the way a model load does: tables borrowed from an
+// aligned copy of the bytes, which the store keeps alive.
+Status LoadPayload(FactorStore* store, const std::string& payload) {
+  std::shared_ptr<const ArtifactBytes> bytes = ArtifactBytes::Copy(payload);
+  return store->Load(bytes->bytes(), bytes);
+}
+
 TEST(FactorStoreTest, PayloadRoundTripsEveryPrecision) {
   for (const FactorPrecision precision :
        {FactorPrecision::kFp64, FactorPrecision::kFp32,
@@ -153,11 +160,13 @@ TEST(FactorStoreTest, PayloadRoundTripsEveryPrecision) {
     ASSERT_TRUE(store.SetPrecision(precision).ok());
     PayloadWriter w;
     store.Save(&w);
-    PayloadReader r(w.buffer());
     FactorStore loaded;
-    ASSERT_TRUE(loaded.Load(&r, /*aligned=*/true).ok())
+    ASSERT_TRUE(LoadPayload(&loaded, w.buffer()).ok())
         << FactorPrecisionName(precision);
-    ASSERT_TRUE(r.AtEnd());
+    // The whole payload was consumed: a trailing byte is rejected.
+    FactorStore trailing;
+    EXPECT_FALSE(LoadPayload(&trailing, w.buffer() + '\0').ok())
+        << FactorPrecisionName(precision);
     EXPECT_EQ(loaded.precision(), precision);
     EXPECT_EQ(loaded.num_factors(), store.num_factors());
     EXPECT_EQ(loaded.user_rows(), store.user_rows());
@@ -172,9 +181,8 @@ TEST(FactorStoreTest, LoadRejectsUnknownPrecisionTag) {
   store.Save(&w);
   std::string corrupted = w.buffer();
   corrupted[0] = static_cast<char>(9);  // no such precision
-  PayloadReader r(corrupted);
   FactorStore loaded;
-  const Status s = loaded.Load(&r, /*aligned=*/true);
+  const Status s = LoadPayload(&loaded, corrupted);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("unknown precision tag 9"), std::string::npos);
 }
@@ -186,9 +194,8 @@ TEST(FactorStoreTest, LoadRejectsTruncatedQuantizedSection) {
   store.Save(&w);
   const std::string full = w.buffer();
   const std::string truncated = full.substr(0, full.size() / 2);
-  PayloadReader r(truncated);
   FactorStore loaded;
-  EXPECT_FALSE(loaded.Load(&r, /*aligned=*/true).ok());
+  EXPECT_FALSE(LoadPayload(&loaded, truncated).ok());
 }
 
 TEST(FactorStoreTest, LoadRejectsShortQuantizationSideTable) {
@@ -202,17 +209,25 @@ TEST(FactorStoreTest, LoadRejectsShortQuantizationSideTable) {
   w.WriteU64(g);
   w.WriteU64(user_rows);
   w.WriteU64(item_rows);
+  // Every table 8-aligned, as FactorStore::Save lays them out.
+  w.AlignTo(8);
   w.WriteVecI8(std::vector<int8_t>(user_rows * g, 1));
+  w.AlignTo(8);
   w.WriteVecF32(std::vector<float>(user_rows - 1, 0.5f));  // short scale
+  w.AlignTo(8);
   w.WriteVecF32(std::vector<float>(user_rows, 0.0f));
+  w.AlignTo(8);
   w.WriteVecI32(std::vector<int32_t>(user_rows, 3));
+  w.AlignTo(8);
   w.WriteVecI8(std::vector<int8_t>(item_rows * g, 1));
+  w.AlignTo(8);
   w.WriteVecF32(std::vector<float>(item_rows, 0.5f));
+  w.AlignTo(8);
   w.WriteVecF32(std::vector<float>(item_rows, 0.0f));
+  w.AlignTo(8);
   w.WriteVecI32(std::vector<int32_t>(item_rows, 3));
-  PayloadReader r(w.buffer());
   FactorStore loaded;
-  const Status s = loaded.Load(&r, /*aligned=*/false);
+  const Status s = LoadPayload(&loaded, w.buffer());
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find(
                 "user quantization side tables (scale/center/qsum) have "
@@ -227,13 +242,16 @@ TEST(FactorStoreTest, LoadRejectsWrongCodeTableLength) {
   w.WriteU64(g);
   w.WriteU64(2);  // user rows
   w.WriteU64(2);  // item rows
+  w.AlignTo(8);
   w.WriteVecI8(std::vector<int8_t>(2 * g + 1, 1));  // one code too many
+  w.AlignTo(8);
   w.WriteVecF32(std::vector<float>(2, 0.5f));
+  w.AlignTo(8);
   w.WriteVecF32(std::vector<float>(2, 0.0f));
+  w.AlignTo(8);
   w.WriteVecI32(std::vector<int32_t>(2, 3));
-  PayloadReader r(w.buffer());
   FactorStore loaded;
-  const Status s = loaded.Load(&r, /*aligned=*/false);
+  const Status s = LoadPayload(&loaded, w.buffer());
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("user int8 code table has wrong length"),
             std::string::npos);
@@ -245,9 +263,8 @@ TEST(FactorStoreTest, LoadRejectsEmptyDimensions) {
   w.WriteU64(0);  // g = 0
   w.WriteU64(2);
   w.WriteU64(2);
-  PayloadReader r(w.buffer());
   FactorStore loaded;
-  const Status s = loaded.Load(&r, /*aligned=*/false);
+  const Status s = LoadPayload(&loaded, w.buffer());
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("empty dimensions"), std::string::npos);
 }
@@ -323,7 +340,8 @@ TEST(FactorPrecisionTest, ArtifactRoundTripsBitIdenticalPerPrecision) {
       ASSERT_TRUE(model->SetFactorPrecision(precision).ok());
       std::stringstream ss;
       ASSERT_TRUE(model->Save(ss).ok()) << model->name();
-      auto loaded = LoadModel(ss, &train);
+      ArtifactReader r(ArtifactBytes::Copy(ss.str()));
+      auto loaded = LoadModel(r, &train);
       ASSERT_TRUE(loaded.ok()) << model->name() << ": "
                                << loaded.status().message();
       EXPECT_EQ((*loaded)->factor_precision(), precision) << model->name();
@@ -354,7 +372,8 @@ TEST(FactorPrecisionTest, QuantizedArtifactRejectsCorruptedFactorSection) {
   // Lop off the tail: the artifact layer must refuse the truncated file
   // before any factor bytes reach the store.
   const std::string full = ss.str();
-  std::stringstream truncated(full.substr(0, full.size() - 64));
+  ArtifactReader truncated(
+      ArtifactBytes::Copy(full.substr(0, full.size() - 64)));
   EXPECT_FALSE(LoadModel(truncated, &train).ok());
 }
 

@@ -108,8 +108,8 @@ TEST(ModelIoTest, AllModelsRoundTripBitIdentically) {
   for (ModelPair& pair : AllModelPairs()) {
     ASSERT_TRUE(pair.fitted->Fit(train).ok()) << pair.fitted->name();
     const std::string artifact = Serialize(*pair.fitted);
-    std::istringstream is(artifact, std::ios::binary);
-    ASSERT_TRUE(pair.fresh->Load(is, &train).ok()) << pair.fitted->name();
+    ArtifactReader r(ArtifactBytes::Copy(artifact));
+    ASSERT_TRUE(pair.fresh->Load(r, &train).ok()) << pair.fitted->name();
 
     EXPECT_EQ(pair.fresh->name(), pair.fitted->name());
     EXPECT_EQ(pair.fresh->num_items(), pair.fitted->num_items());
@@ -127,8 +127,8 @@ TEST(ModelIoTest, FactoryDispatchesEveryModelType) {
   const RatingDataset train = MakeData();
   for (ModelPair& pair : AllModelPairs()) {
     ASSERT_TRUE(pair.fitted->Fit(train).ok());
-    std::istringstream is(Serialize(*pair.fitted), std::ios::binary);
-    Result<std::unique_ptr<Recommender>> loaded = LoadModel(is, &train);
+    ArtifactReader r(ArtifactBytes::Copy(Serialize(*pair.fitted)));
+    Result<std::unique_ptr<Recommender>> loaded = LoadModel(r, &train);
     ASSERT_TRUE(loaded.ok()) << pair.fitted->name() << ": "
                              << loaded.status().ToString();
     EXPECT_EQ((*loaded)->name(), pair.fitted->name());
@@ -143,10 +143,14 @@ TEST(ModelIoTest, FileRoundTrip) {
   ASSERT_TRUE(model.Fit(train).ok());
   const std::string path = ::testing::TempDir() + "/ganc_model_io.gam";
   ASSERT_TRUE(SaveModelFile(model, path).ok());
-  Result<std::unique_ptr<Recommender>> loaded = LoadModelFile(path, nullptr);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ((*loaded)->name(), "PSVD9");
-  ExpectBitIdentical(BatchScores(model, train), BatchScores(**loaded, train));
+  for (const bool prefer_mmap : {true, false}) {
+    Result<std::unique_ptr<Recommender>> loaded =
+        LoadModelFileAuto(path, prefer_mmap, nullptr);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ((*loaded)->name(), "PSVD9");
+    ExpectBitIdentical(BatchScores(model, train),
+                       BatchScores(**loaded, train));
+  }
 }
 
 TEST(ModelIoTest, ConfigTravelsWithArtifact) {
@@ -157,8 +161,8 @@ TEST(ModelIoTest, ConfigTravelsWithArtifact) {
                                     .non_negative = true});
   ASSERT_TRUE(fitted.Fit(train).ok());
   RsvdRecommender fresh(RsvdConfig{.num_factors = 50});
-  std::istringstream is(Serialize(fitted), std::ios::binary);
-  ASSERT_TRUE(fresh.Load(is, nullptr).ok());
+  ArtifactReader r(ArtifactBytes::Copy(Serialize(fitted)));
+  ASSERT_TRUE(fresh.Load(r, nullptr).ok());
   EXPECT_EQ(fresh.name(), "RSVDN");
   EXPECT_EQ(fresh.config().num_factors, 5);
   ExpectBitIdentical(BatchScores(fitted, train), BatchScores(fresh, train));
@@ -183,9 +187,9 @@ TEST(ModelIoTest, EveryByteCorruptionIsDetectedOrHarmless) {
   for (size_t i = 0; i < artifact.size(); ++i) {
     std::string corrupt = artifact;
     corrupt[i] ^= 0x5A;
-    std::istringstream is(corrupt, std::ios::binary);
+    ArtifactReader r(ArtifactBytes::Copy(corrupt));
     PsvdRecommender target;
-    if (!target.Load(is, nullptr).ok()) ++failures;
+    if (!target.Load(r, nullptr).ok()) ++failures;
   }
   // Every header/payload/checksum byte is load-bearing in this format:
   // all single-byte corruptions must be caught.
@@ -199,9 +203,9 @@ TEST(ModelIoTest, TruncatedArtifactRejected) {
   const std::string artifact = Serialize(model);
   for (const size_t keep : {size_t{0}, size_t{4}, size_t{20}, size_t{40},
                             artifact.size() / 2, artifact.size() - 1}) {
-    std::istringstream is(artifact.substr(0, keep), std::ios::binary);
+    ArtifactReader r(ArtifactBytes::Copy(artifact.substr(0, keep)));
     BprRecommender target;
-    EXPECT_FALSE(target.Load(is, nullptr).ok()) << "kept " << keep;
+    EXPECT_FALSE(target.Load(r, nullptr).ok()) << "kept " << keep;
   }
 }
 
@@ -211,9 +215,9 @@ TEST(ModelIoTest, WrongVersionRejected) {
   ASSERT_TRUE(model.Fit(train).ok());
   std::string artifact = Serialize(model);
   artifact[8] = static_cast<char>(kGancFormatVersion + 9);
-  std::istringstream is(artifact, std::ios::binary);
+  ArtifactReader r(ArtifactBytes::Copy(artifact));
   PopRecommender target;
-  Status s = target.Load(is, nullptr);
+  Status s = target.Load(r, nullptr);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("version"), std::string::npos);
 }
@@ -222,9 +226,9 @@ TEST(ModelIoTest, WrongModelTypeRejected) {
   const RatingDataset train = MakeData(20, 30);
   PsvdRecommender psvd(PsvdConfig{.num_factors = 3});
   ASSERT_TRUE(psvd.Fit(train).ok());
-  std::istringstream is(Serialize(psvd), std::ios::binary);
+  ArtifactReader r(ArtifactBytes::Copy(Serialize(psvd)));
   RsvdRecommender target;
-  Status s = target.Load(is, nullptr);
+  Status s = target.Load(r, nullptr);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("type"), std::string::npos);
 }
@@ -247,16 +251,16 @@ TEST(ModelIoTest, DatasetBackedModelsRequireBinding) {
     ASSERT_TRUE(fitted->Fit(train).ok());
     const std::string artifact = Serialize(*fitted);
     {
-      std::istringstream is(artifact, std::ios::binary);
-      EXPECT_EQ(fresh->Load(is, nullptr).code(),
+      ArtifactReader r(ArtifactBytes::Copy(artifact));
+      EXPECT_EQ(fresh->Load(r, nullptr).code(),
                 StatusCode::kFailedPrecondition)
           << name;
     }
     // Binding a dataset with different dimensions must be rejected.
     const RatingDataset other = MakeData(33, 44);
     {
-      std::istringstream is(artifact, std::ios::binary);
-      EXPECT_FALSE(fresh->Load(is, &other).ok()) << name;
+      ArtifactReader r(ArtifactBytes::Copy(artifact));
+      EXPECT_FALSE(fresh->Load(r, &other).ok()) << name;
     }
     // Same dimensions but different content (another split of the same
     // corpus shape) must be rejected too — the fingerprint catches it.
@@ -264,8 +268,8 @@ TEST(ModelIoTest, DatasetBackedModelsRequireBinding) {
     ASSERT_EQ(same_dims.num_users(), train.num_users());
     ASSERT_EQ(same_dims.num_items(), train.num_items());
     {
-      std::istringstream is(artifact, std::ios::binary);
-      Status s = fresh->Load(is, &same_dims);
+      ArtifactReader r(ArtifactBytes::Copy(artifact));
+      Status s = fresh->Load(r, &same_dims);
       ASSERT_FALSE(s.ok()) << name;
       EXPECT_NE(s.message().find("fingerprint"), std::string::npos) << name;
     }
@@ -281,33 +285,38 @@ TEST(ModelIoTest, SelfContainedModelsValidateDimsWhenDatasetProvided) {
   ASSERT_TRUE(psvd.Fit(train).ok());
   const std::string artifact = Serialize(psvd);
   const RatingDataset more_users = MakeData(120, 150);
-  std::istringstream is(artifact, std::ios::binary);
+  ArtifactReader r(ArtifactBytes::Copy(artifact));
   PsvdRecommender target;
-  EXPECT_FALSE(target.Load(is, &more_users).ok());
+  EXPECT_FALSE(target.Load(r, &more_users).ok());
   // Same shape, different content: caught by the stored fingerprint.
   const RatingDataset same_dims = MakeData(80, 150, 321);
-  std::istringstream is3(artifact, std::ios::binary);
-  Status s = target.Load(is3, &same_dims);
+  ArtifactReader r3(ArtifactBytes::Copy(artifact));
+  Status s = target.Load(r3, &same_dims);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("fingerprint"), std::string::npos);
   // Matching dataset still loads, as does a datasetless load.
-  std::istringstream is2(artifact, std::ios::binary);
-  EXPECT_TRUE(target.Load(is2, &train).ok());
-  std::istringstream is4(artifact, std::ios::binary);
-  EXPECT_TRUE(target.Load(is4, nullptr).ok());
+  ArtifactReader r2(ArtifactBytes::Copy(artifact));
+  EXPECT_TRUE(target.Load(r2, &train).ok());
+  ArtifactReader r4(ArtifactBytes::Copy(artifact));
+  EXPECT_TRUE(target.Load(r4, nullptr).ok());
 }
 
 TEST(ModelIoTest, MissingFileIsIOError) {
-  EXPECT_EQ(LoadModelFile("/nonexistent/model.gam", nullptr).status().code(),
-            StatusCode::kIOError);
+  for (const bool prefer_mmap : {true, false}) {
+    EXPECT_EQ(
+        LoadModelFileAuto("/nonexistent/model.gam", prefer_mmap, nullptr)
+            .status()
+            .code(),
+        StatusCode::kIOError);
+  }
 }
 
 TEST(ModelIoTest, NonModelArtifactRejectedByFactory) {
   const RatingDataset train = MakeData(20, 30);
   std::ostringstream os(std::ios::binary);
   ASSERT_TRUE(train.SaveBinary(os).ok());
-  std::istringstream is(os.str(), std::ios::binary);
-  Result<std::unique_ptr<Recommender>> loaded = LoadModel(is, &train);
+  ArtifactReader r(ArtifactBytes::Copy(os.str()));
+  Result<std::unique_ptr<Recommender>> loaded = LoadModel(r, &train);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("model"), std::string::npos);
 }

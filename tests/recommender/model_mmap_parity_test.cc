@@ -1,8 +1,8 @@
-// Mapped model loads: for every recommender, LoadModelFileMapped must
-// reproduce the stream loader's scores bit-for-bit and its top-N lists
-// exactly — zero-copy factor borrowing is an optimization, never an
-// observable behavior change. Auto selection must prefer the mapping
-// for v3 files and fall back to the stream path on request.
+// Model loads through each byte source: for every recommender, a load
+// over the file mapping and over a read() buffer must reproduce the
+// fitted model's scores bit-for-bit and its top-N lists exactly —
+// zero-copy factor borrowing is an optimization, never an observable
+// behavior change.
 
 #include "recommender/model_io.h"
 
@@ -91,48 +91,31 @@ void ExpectBitIdentical(const std::vector<double>& a,
   }
 }
 
-TEST(ModelMmapParityTest, AllModelsScoreBitIdenticallyMappedVsStream) {
+TEST(ModelMmapParityTest, AllModelsScoreBitIdenticallyThroughEachSource) {
   const RatingDataset train = MakeData();
   for (auto& fitted : AllFittedModels(train)) {
     const std::string path =
         TestPath(std::string("mmap_parity_") + fitted->name() + ".gam");
     ASSERT_TRUE(SaveModelFile(*fitted, path).ok()) << fitted->name();
+    const std::vector<double> want = BatchScores(*fitted, train);
+    const auto want_topn = RecommendAllUsers(*fitted, train, 10);
 
-    auto streamed = LoadModelFile(path, &train);
-    ASSERT_TRUE(streamed.ok())
-        << fitted->name() << ": " << streamed.status().ToString();
-    auto mapped = LoadModelFileMapped(path, &train);
-    ASSERT_TRUE(mapped.ok())
-        << fitted->name() << ": " << mapped.status().ToString();
-
-    EXPECT_EQ((*mapped)->name(), fitted->name());
-    ExpectBitIdentical(BatchScores(**streamed, train),
-                       BatchScores(**mapped, train), fitted->name().c_str());
-    ExpectBitIdentical(BatchScores(*fitted, train),
-                       BatchScores(**mapped, train), fitted->name().c_str());
-    EXPECT_EQ(RecommendAllUsers(**streamed, train, 10),
-              RecommendAllUsers(**mapped, train, 10))
-        << fitted->name();
+    for (const bool prefer_mmap : {true, false}) {
+      SCOPED_TRACE(prefer_mmap ? "mapped" : "read()");
+      auto loaded = LoadModelFileAuto(path, prefer_mmap, &train);
+      ASSERT_TRUE(loaded.ok())
+          << fitted->name() << ": " << loaded.status().ToString();
+      EXPECT_EQ((*loaded)->name(), fitted->name());
+      ExpectBitIdentical(want, BatchScores(**loaded, train),
+                         fitted->name().c_str());
+      EXPECT_EQ(want_topn, RecommendAllUsers(**loaded, train, 10))
+          << fitted->name();
+    }
     std::remove(path.c_str());
   }
 }
 
-TEST(ModelMmapParityTest, AutoLoaderPrefersMappingAndFallsBack) {
-  const RatingDataset train = MakeData();
-  PsvdRecommender model(PsvdConfig{.num_factors = 9});
-  ASSERT_TRUE(model.Fit(train).ok());
-  const std::string path = TestPath("mmap_auto.gam");
-  ASSERT_TRUE(SaveModelFile(model, path).ok());
-
-  auto via_mmap = LoadModelFileAuto(path, /*prefer_mmap=*/true, &train);
-  ASSERT_TRUE(via_mmap.ok()) << via_mmap.status().ToString();
-  auto via_stream = LoadModelFileAuto(path, /*prefer_mmap=*/false, &train);
-  ASSERT_TRUE(via_stream.ok()) << via_stream.status().ToString();
-  ExpectBitIdentical(BatchScores(**via_mmap, train),
-                     BatchScores(**via_stream, train), "auto");
-}
-
-TEST(ModelMmapParityTest, MappedLoadRejectsCorruptArtifact) {
+TEST(ModelMmapParityTest, LoadRejectsCorruptArtifact) {
   const RatingDataset train = MakeData();
   PsvdRecommender model(PsvdConfig{.num_factors = 3});
   ASSERT_TRUE(model.Fit(train).ok());
@@ -151,31 +134,37 @@ TEST(ModelMmapParityTest, MappedLoadRejectsCorruptArtifact) {
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
   }
-  EXPECT_FALSE(LoadModelFileMapped(path, &train).ok());
+  for (const bool prefer_mmap : {true, false}) {
+    EXPECT_FALSE(LoadModelFileAuto(path, prefer_mmap, &train).ok());
+  }
 
-  // Truncations through the mapped loader are typed errors too.
+  // Truncations through either source are typed errors too.
   for (const size_t keep :
        {size_t{0}, size_t{10}, bytes.size() / 2, bytes.size() - 1}) {
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os.write(bytes.data(), static_cast<std::streamsize>(keep));
     os.close();
-    EXPECT_FALSE(LoadModelFileMapped(path, &train).ok()) << "kept " << keep;
+    for (const bool prefer_mmap : {true, false}) {
+      EXPECT_FALSE(LoadModelFileAuto(path, prefer_mmap, &train).ok())
+          << "kept " << keep;
+    }
   }
   std::remove(path.c_str());
 }
 
-TEST(ModelMmapParityTest, MappedLoadRequiresDatasetBindingToo) {
-  // The mapped path must enforce the same binding contract as the
-  // stream path: dataset-backed models refuse to load without a train
-  // set and refuse a fingerprint-mismatched one.
+TEST(ModelMmapParityTest, FileLoadRequiresDatasetBindingToo) {
+  // Loads through either source enforce the binding contract:
+  // dataset-backed models refuse to load without a train set.
   const RatingDataset train = MakeData();
   ItemKnnRecommender knn(ItemKnnConfig{.num_neighbors = 8});
   ASSERT_TRUE(knn.Fit(train).ok());
   const std::string path = TestPath("mmap_binding.gam");
   ASSERT_TRUE(SaveModelFile(knn, path).ok());
-  EXPECT_EQ(LoadModelFileMapped(path, nullptr).status().code(),
-            StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(LoadModelFileMapped(path, &train).ok());
+  for (const bool prefer_mmap : {true, false}) {
+    EXPECT_EQ(LoadModelFileAuto(path, prefer_mmap, nullptr).status().code(),
+              StatusCode::kFailedPrecondition);
+    ASSERT_TRUE(LoadModelFileAuto(path, prefer_mmap, &train).ok());
+  }
   std::remove(path.c_str());
 }
 

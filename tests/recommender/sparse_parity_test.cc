@@ -430,9 +430,9 @@ TEST(SparseParityTest, KnnArtifactsRoundTripFromThreadedFit) {
   {
     ItemKnnRecommender fitted({.num_neighbors = 10, .max_profile = 8});
     ASSERT_TRUE(fitted.Fit(train, &pool).ok());
-    std::istringstream is(SaveToString(fitted), std::ios::binary);
+    ArtifactReader r(ArtifactBytes::Copy(SaveToString(fitted)));
     ItemKnnRecommender loaded;
-    ASSERT_TRUE(loaded.Load(is, &train).ok());
+    ASSERT_TRUE(loaded.Load(r, &train).ok());
     for (UserId u = 0; u < train.num_users(); u += 7) {
       ASSERT_EQ(fitted.ScoreAll(u), loaded.ScoreAll(u)) << "user " << u;
     }
@@ -440,9 +440,9 @@ TEST(SparseParityTest, KnnArtifactsRoundTripFromThreadedFit) {
   {
     UserKnnRecommender fitted({.num_neighbors = 10, .max_audience = 6});
     ASSERT_TRUE(fitted.Fit(train, &pool).ok());
-    std::istringstream is(SaveToString(fitted), std::ios::binary);
+    ArtifactReader r(ArtifactBytes::Copy(SaveToString(fitted)));
     UserKnnRecommender loaded;
-    ASSERT_TRUE(loaded.Load(is, &train).ok());
+    ASSERT_TRUE(loaded.Load(r, &train).ok());
     for (UserId u = 0; u < train.num_users(); u += 7) {
       ASSERT_EQ(fitted.ScoreAll(u), loaded.ScoreAll(u)) << "user " << u;
     }

@@ -1,7 +1,8 @@
 // Out-of-core training parity: for every recommender, fitting against a
-// mapped dataset under a tiny residency budget must produce the same
-// artifact bytes and top-N lists as fitting the fully resident dataset —
-// and the mapped fit must never materialize the full rating matrix.
+// loaded dataset (mapped or read into memory) under a tiny residency
+// budget must produce the same artifact bytes and top-N lists as
+// fitting the fully resident dataset — and the budgeted fit must never
+// materialize the full rating matrix.
 // Likewise the blocked trainers must be thread-count invariant: 1, 2,
 // and 8 worker threads yield byte-identical artifacts, because work is
 // partitioned into fixed user blocks and merged in block order.
@@ -82,37 +83,93 @@ std::string FitAndSerialize(Recommender& model, const RatingDataset& train,
   return os.str();
 }
 
-TEST(TrainOutOfCoreParityTest, MappedBudgetedFitMatchesResidentFit) {
+TEST(TrainOutOfCoreParityTest, LoadedBudgetedFitMatchesResidentFit) {
   const RatingDataset eager = MakeData();
   const std::string path = TestPath("train_outofcore_parity.gdc");
   ASSERT_TRUE(eager.SaveBinaryFile(path).ok());
-  auto mapped = RatingDataset::LoadMappedFile(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  // ~4KiB of resident rows per window: many windows per epoch.
-  mapped->set_train_budget_bytes(4096);
-
   auto resident_models = MakeModels();
-  auto mapped_models = MakeModels();
-  for (size_t m = 0; m < resident_models.size(); ++m) {
-    const std::string want =
-        FitAndSerialize(*resident_models[m], eager, nullptr);
-    const std::string got = FitAndSerialize(*mapped_models[m], *mapped,
-                                            nullptr);
-    EXPECT_EQ(want, got)
-        << resident_models[m]->name() << ": out-of-core fit diverged";
+  std::vector<std::string> want;
+  for (auto& model : resident_models) {
+    want.push_back(FitAndSerialize(*model, eager, nullptr));
   }
-  // Satellite check: no trainer materialized the full matrix — the CSC
-  // index and ratings() order were never built on the mapped dataset.
-  EXPECT_TRUE(mapped->IsMapped());
-  EXPECT_FALSE(mapped->ResidencyMaterialized());
+  for (const bool prefer_mmap : {true, false}) {
+    SCOPED_TRACE(prefer_mmap ? "mapped" : "read()");
+    auto loaded = RatingDataset::LoadFileAuto(path, prefer_mmap);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    // ~4KiB of resident rows per window: many windows per epoch.
+    loaded->set_train_budget_bytes(4096);
 
-  // Top-N parity on the mapped dataset (scoring reads rows only).
-  for (size_t m = 0; m < resident_models.size(); ++m) {
-    EXPECT_EQ(RecommendAllUsers(*resident_models[m], eager, 10),
-              RecommendAllUsers(*mapped_models[m], *mapped, 10))
-        << resident_models[m]->name();
+    auto loaded_models = MakeModels();
+    for (size_t m = 0; m < loaded_models.size(); ++m) {
+      EXPECT_EQ(want[m], FitAndSerialize(*loaded_models[m], *loaded, nullptr))
+          << loaded_models[m]->name() << ": out-of-core fit diverged";
+    }
+    // No trainer materialized the full matrix — the CSC index and
+    // ratings() order were never built on the loaded dataset.
+    EXPECT_EQ(loaded->IsMapped(), prefer_mmap);
+    EXPECT_FALSE(loaded->ResidencyMaterialized());
+
+    // Top-N parity on the loaded dataset (scoring reads rows only).
+    for (size_t m = 0; m < resident_models.size(); ++m) {
+      EXPECT_EQ(RecommendAllUsers(*resident_models[m], eager, 10),
+                RecommendAllUsers(*loaded_models[m], *loaded, 10))
+          << resident_models[m]->name();
+    }
+    EXPECT_FALSE(loaded->ResidencyMaterialized());
   }
-  EXPECT_FALSE(mapped->ResidencyMaterialized());
+  std::remove(path.c_str());
+}
+
+// A read() buffer is heap memory: budgeted sweeps must leave its pages
+// alone (only a mapping's pages may be handed back, since they refault
+// from the file while heap pages would come back zeroed). Sweep the
+// read() load repeatedly under a budget far below the file size, with
+// windows spanning several whole pages; rows and the trained model must
+// match the mapped load's every time.
+TEST(TrainOutOfCoreParityTest, ReadBufferSurvivesBudgetedSweeps) {
+  SyntheticSpec spec = TinySpec();
+  spec.num_users = 3000;
+  spec.num_items = 120;
+  spec.mean_activity = 12.0;
+  auto data = GenerateSynthetic(spec);
+  ASSERT_TRUE(data.ok());
+  const std::string path = TestPath("train_read_buffer_sweep.gdc");
+  ASSERT_TRUE(data->SaveBinaryFile(path).ok());
+  auto mapped = RatingDataset::LoadFileAuto(path, /*prefer_mmap=*/true);
+  auto in_memory = RatingDataset::LoadFileAuto(path, /*prefer_mmap=*/false);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+  ASSERT_FALSE(in_memory->IsMapped());
+  constexpr int64_t kBudget = 16 << 10;  // four pages per window
+  ASSERT_GT(in_memory->num_ratings() * int64_t{sizeof(ItemRating)},
+            8 * kBudget);
+  mapped->set_train_budget_bytes(kBudget);
+  in_memory->set_train_budget_bytes(kBudget);
+
+  const auto rows_of = [](const RatingDataset& ds) {
+    std::vector<std::pair<ItemId, float>> flat;
+    EXPECT_TRUE(ds.SweepRowWindows(kBudget, 1, [&](const RowWindow& w) {
+                    for (UserId u = w.begin; u < w.end; ++u) {
+                      for (const ItemRating& ir : ds.ItemsOf(u)) {
+                        flat.emplace_back(ir.item, ir.value);
+                      }
+                    }
+                    return Status::OK();
+                  }).ok());
+    return flat;
+  };
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE("pass " + std::to_string(pass));
+    EXPECT_EQ(rows_of(*mapped), rows_of(*in_memory));
+    RsvdRecommender from_mapped(RsvdConfig{
+        .num_factors = 6, .num_epochs = 3, .use_biases = true,
+        .user_block = 32});
+    RsvdRecommender from_memory(RsvdConfig{
+        .num_factors = 6, .num_epochs = 3, .use_biases = true,
+        .user_block = 32});
+    EXPECT_EQ(FitAndSerialize(from_mapped, *mapped, nullptr),
+              FitAndSerialize(from_memory, *in_memory, nullptr));
+  }
   std::remove(path.c_str());
 }
 
@@ -128,7 +185,7 @@ TEST(TrainOutOfCoreParityTest, FitIsBudgetInvariant) {
     reference.push_back(FitAndSerialize(*model, eager, nullptr));
   }
   for (const int64_t budget : {int64_t{512}, int64_t{1} << 14}) {
-    auto mapped = RatingDataset::LoadMappedFile(path);
+    auto mapped = RatingDataset::LoadFileAuto(path, /*prefer_mmap=*/true);
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     mapped->set_train_budget_bytes(budget);
     auto models = MakeModels();

@@ -368,6 +368,27 @@ TEST_F(GancServeSubprocessTest, StdinRoundTripAndSessionFlow) {
   EXPECT_EQ(serve.CloseAndWait(), 0);
 }
 
+// A client stream without newlines must not grow the server without
+// bound: a line past kMaxRequestLineBytes gets one ERR, the rest of it
+// is discarded through its newline, and serving carries on.
+TEST_F(GancServeSubprocessTest, OverlongRequestLineIsRejectedAndSkipped) {
+  ServeProcess serve(ServeFlags());
+  const std::string too_long = "ERR request line exceeds " +
+                               std::to_string(kMaxRequestLineBytes) +
+                               " bytes";
+  serve.Send(std::string(size_t{2} << 20, 'x') + "\nPING");
+  EXPECT_EQ(serve.ReadLine(), too_long);
+  EXPECT_EQ(serve.ReadLine(), "OK pong");
+  // A line exactly at the cap is still parsed as a request.
+  serve.Send(std::string(kMaxRequestLineBytes, 'x'));
+  const std::string at_cap = serve.ReadLine();
+  EXPECT_EQ(at_cap.rfind("ERR ", 0), 0u) << at_cap.substr(0, 80);
+  EXPECT_NE(at_cap, too_long);
+  serve.Send("PING");
+  EXPECT_EQ(serve.ReadLine(), "OK pong");
+  EXPECT_EQ(serve.CloseAndWait(), 0);
+}
+
 TEST_F(GancServeSubprocessTest, TcpRoundTripOnEphemeralPort) {
   std::vector<std::string> flags = ServeFlags();
   flags.push_back("--port=0");

@@ -1,7 +1,7 @@
-// Mapped top-N store: LoadFileMapped must serve exactly the lists the
-// stream loader reconstructs, validate offsets before handing out any
-// view, reject corruption and truncation through the mapped reader, and
-// fall back cleanly for pre-mmap callers via LoadFileAuto.
+// Loaded top-N store: through the file mapping and through a read()
+// buffer, LoadFileAuto must serve exactly the saved lists, validate
+// offsets before handing out any view, and reject corruption and
+// truncation with typed errors.
 
 #include "serve/topn_store.h"
 
@@ -68,35 +68,20 @@ void ExpectSameLists(const TopNStore& a, const TopNStore& b) {
   }
 }
 
-TEST(TopNStoreMmapTest, MappedServesTheStreamLoadersLists) {
+TEST(TopNStoreMmapTest, EachByteSourceServesTheSavedLists) {
   const TopNStore original = MakeStore();
   const std::string path = TestPath("store_mmap.gts");
   ASSERT_TRUE(original.SaveFile(path).ok());
 
-  auto streamed = TopNStore::LoadFile(path);
-  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-  auto mapped = TopNStore::LoadFileMapped(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_TRUE(mapped->IsMapped());
-  EXPECT_FALSE(streamed->IsMapped());
-  ExpectSameLists(*streamed, *mapped);
-  ExpectSameLists(original, *mapped);
-  // Users not in the store own an empty slice either way.
-  EXPECT_TRUE(mapped->ListFor(1).empty());
-  std::remove(path.c_str());
-}
-
-TEST(TopNStoreMmapTest, AutoLoaderHonorsPreference) {
-  const TopNStore original = MakeStore();
-  const std::string path = TestPath("store_auto.gts");
-  ASSERT_TRUE(original.SaveFile(path).ok());
-  auto mapped = TopNStore::LoadFileAuto(path, /*prefer_mmap=*/true);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_TRUE(mapped->IsMapped());
-  auto streamed = TopNStore::LoadFileAuto(path, /*prefer_mmap=*/false);
-  ASSERT_TRUE(streamed.ok());
-  EXPECT_FALSE(streamed->IsMapped());
-  ExpectSameLists(*streamed, *mapped);
+  for (const bool prefer_mmap : {true, false}) {
+    SCOPED_TRACE(prefer_mmap ? "mapped" : "read()");
+    auto loaded = TopNStore::LoadFileAuto(path, prefer_mmap);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->IsMapped(), prefer_mmap);
+    ExpectSameLists(original, *loaded);
+    // Users not in the store own an empty slice either way.
+    EXPECT_TRUE(loaded->ListFor(1).empty());
+  }
   std::remove(path.c_str());
 }
 
@@ -108,8 +93,10 @@ TEST(TopNStoreMmapTest, TruncationAtEveryCutIsATypedError) {
   const std::string cut_path = TestPath("store_cut.gts");
   for (size_t cut = 0; cut < bytes.size(); cut += 5) {
     WriteFileBytes(cut_path, bytes.substr(0, cut));
-    auto mapped = TopNStore::LoadFileMapped(cut_path);
-    EXPECT_FALSE(mapped.ok()) << "cut " << cut << " slipped through";
+    for (const bool prefer_mmap : {true, false}) {
+      EXPECT_FALSE(TopNStore::LoadFileAuto(cut_path, prefer_mmap).ok())
+          << "cut " << cut << " slipped through";
+    }
   }
   std::remove(path.c_str());
   std::remove(cut_path.c_str());
@@ -120,26 +107,29 @@ TEST(TopNStoreMmapTest, CorruptOffsetsRejectedBeforeAnyLookup) {
   const std::string path = TestPath("store_corrupt.gts");
   ASSERT_TRUE(original.SaveFile(path).ok());
   std::string bytes = FileBytes(path);
-  // Flip one byte at a time across the whole file: the mapped loader
-  // either refuses the artifact or — never — serves different lists.
+  // Flip one byte at a time across the whole file: either source
+  // refuses the artifact or — never — serves different lists.
   int rejections = 0;
   const std::string bad_path = TestPath("store_bad.gts");
   for (size_t i = 0; i < bytes.size(); i += 3) {
     std::string corrupt = bytes;
     corrupt[i] ^= 0x5A;
     WriteFileBytes(bad_path, corrupt);
-    auto mapped = TopNStore::LoadFileMapped(bad_path);
-    if (!mapped.ok()) {
-      ++rejections;
-      continue;
-    }
-    // Survivors must still be structurally sound and fingerprint-gated;
-    // a changed fingerprint or source string is the acceptable case.
-    for (UserId u = 0; u < mapped->num_users(); ++u) {
-      const auto list = mapped->ListFor(u);
-      for (ItemId item : list) {
-        ASSERT_GE(item, 0) << "byte " << i;
-        ASSERT_LT(item, mapped->num_items()) << "byte " << i;
+    for (const bool prefer_mmap : {true, false}) {
+      auto loaded = TopNStore::LoadFileAuto(bad_path, prefer_mmap);
+      if (!loaded.ok()) {
+        ++rejections;
+        continue;
+      }
+      // Survivors must still be structurally sound and
+      // fingerprint-gated; a changed fingerprint or source string is the
+      // acceptable case.
+      for (UserId u = 0; u < loaded->num_users(); ++u) {
+        const auto list = loaded->ListFor(u);
+        for (ItemId item : list) {
+          ASSERT_GE(item, 0) << "byte " << i;
+          ASSERT_LT(item, loaded->num_items()) << "byte " << i;
+        }
       }
     }
   }

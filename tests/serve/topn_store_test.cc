@@ -68,8 +68,8 @@ TEST(TopNStoreTest, SaveLoadRoundTripIsExact) {
   const TopNStore store = MakeStore();
   std::ostringstream os(std::ios::binary);
   ASSERT_TRUE(store.Save(os).ok());
-  std::istringstream is(os.str(), std::ios::binary);
-  Result<TopNStore> loaded = TopNStore::Load(is);
+  ArtifactReader r(ArtifactBytes::Copy(os.str()));
+  Result<TopNStore> loaded = TopNStore::Load(r);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->num_users(), store.num_users());
   EXPECT_EQ(loaded->num_items(), store.num_items());
@@ -95,13 +95,13 @@ TEST(TopNStoreTest, RejectsCorruptionEverywhere) {
   for (size_t pos = 0; pos < bytes.size(); ++pos) {
     std::string corrupt = bytes;
     corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x5a);
-    std::istringstream is(corrupt, std::ios::binary);
-    EXPECT_FALSE(TopNStore::Load(is).ok()) << "byte " << pos;
+    ArtifactReader r(ArtifactBytes::Copy(corrupt));
+    EXPECT_FALSE(TopNStore::Load(r).ok()) << "byte " << pos;
   }
   // Truncation at every length.
   for (size_t len = 0; len < bytes.size(); ++len) {
-    std::istringstream is(bytes.substr(0, len), std::ios::binary);
-    EXPECT_FALSE(TopNStore::Load(is).ok()) << "len " << len;
+    ArtifactReader r(ArtifactBytes::Copy(bytes.substr(0, len)));
+    EXPECT_FALSE(TopNStore::Load(r).ok()) << "len " << len;
   }
 }
 
@@ -113,8 +113,8 @@ TEST(TopNStoreTest, RejectsWrongArtifactKind) {
   ASSERT_TRUE(pop.Fit(*data).ok());
   std::ostringstream os(std::ios::binary);
   ASSERT_TRUE(pop.Save(os).ok());
-  std::istringstream is(os.str(), std::ios::binary);
-  Result<TopNStore> loaded = TopNStore::Load(is);
+  ArtifactReader r(ArtifactBytes::Copy(os.str()));
+  Result<TopNStore> loaded = TopNStore::Load(r);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("kind mismatch"),
             std::string::npos);

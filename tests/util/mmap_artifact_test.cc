@@ -1,9 +1,8 @@
-// Mapped artifact backend: MappedArtifact/ArtifactReader over a real
-// file must hand out 64-byte-aligned zero-copy payload views identical
-// to the stream reader's, reject truncation at every cut point with a
-// typed error (never UB), verify small-section checksums, and refuse
-// pre-v3 files with the fallback code the auto-loaders translate into
-// "use the stream reader".
+// Artifact byte sources: ArtifactReader over a file mapping, a read()
+// buffer or an in-memory copy must hand out identical 64-byte-aligned
+// zero-copy payload views, reject truncation at every cut point with a
+// typed error (never UB), verify checksums by the per-source policy,
+// and refuse pre-v3 files with a typed error naming the version.
 
 #include "util/serialize.h"
 
@@ -49,103 +48,123 @@ std::string MakeArtifactBytes() {
   return os.str();
 }
 
+// The file through each byte source Open offers.
+std::shared_ptr<const ArtifactBytes> OpenBytes(const std::string& path,
+                                               bool prefer_mmap) {
+  auto bytes = ArtifactBytes::Open(path, prefer_mmap);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return bytes.ok() ? *bytes : nullptr;
+}
+
 TEST(MappedArtifactTest, OpenReadsHeaderAndAlignedSections) {
   const std::string path = TestPath("mmap_roundtrip.gam");
   WriteFileBytes(path, MakeArtifactBytes());
 
-  auto mapped = OpenMappedArtifact(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_EQ((*mapped)->header().version, kGancFormatVersion);
-  EXPECT_EQ((*mapped)->header().kind,
-            static_cast<uint32_t>(ArtifactKind::kModel));
+  for (const bool prefer_mmap : {true, false}) {
+    SCOPED_TRACE(prefer_mmap ? "mapped" : "read()");
+    std::shared_ptr<const ArtifactBytes> source = OpenBytes(path, prefer_mmap);
+    ASSERT_NE(source, nullptr);
+    EXPECT_EQ(source->mapped(), prefer_mmap);
 
-  ArtifactReader r(*mapped);
-  ASSERT_TRUE(r.mapped());
-  auto header = r.ReadHeader();
-  ASSERT_TRUE(header.ok());
+    ArtifactReader r(source);
+    auto header = r.ReadHeader();
+    ASSERT_TRUE(header.ok());
+    EXPECT_EQ(header->version, kGancFormatVersion);
+    EXPECT_EQ(header->kind, static_cast<uint32_t>(ArtifactKind::kModel));
 
-  auto meta = r.ReadSectionExpect(1);
-  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
-  EXPECT_TRUE(meta->is_mapped);
-  PayloadReader mr(meta->payload());
-  uint32_t v = 0;
-  std::string s;
-  ASSERT_TRUE(mr.ReadU32(&v).ok());
-  ASSERT_TRUE(mr.ReadString(&s).ok());
-  EXPECT_EQ(v, 7u);
-  EXPECT_EQ(s, "hello");
+    auto meta = r.ReadSectionExpect(1);
+    ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+    PayloadReader mr(meta->payload());
+    uint32_t v = 0;
+    std::string s;
+    ASSERT_TRUE(mr.ReadU32(&v).ok());
+    ASSERT_TRUE(mr.ReadString(&s).ok());
+    EXPECT_EQ(v, 7u);
+    EXPECT_EQ(s, "hello");
 
-  auto table = r.ReadSectionExpect(2);
-  ASSERT_TRUE(table.ok()) << table.status().ToString();
-  EXPECT_TRUE(table->is_mapped);
-  // The v3 alignment contract: every payload starts on a 64-byte file
-  // boundary, which in a page-aligned mapping is a 64-byte address.
-  const char* base = table->payload().data();
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(base) % kSectionAlignment, 0u);
-  // The payload view borrows from the mapping, not from Section-owned
-  // storage.
-  const std::string_view file = (*mapped)->bytes();
-  EXPECT_GE(base, file.data());
-  EXPECT_LE(base + table->payload().size(), file.data() + file.size());
+    auto table = r.ReadSectionExpect(2);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    // The v3 alignment contract: every payload starts on a 64-byte file
+    // boundary, which every byte source turns into a 64-byte address.
+    const char* base = table->payload().data();
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(base) % kSectionAlignment, 0u);
+    // The payload view borrows from the source, never from a copy.
+    const std::string_view file = source->bytes();
+    EXPECT_GE(base, file.data());
+    EXPECT_LE(base + table->payload().size(), file.data() + file.size());
 
-  PayloadReader tr(table->payload());
-  std::span<const uint64_t> view;
-  ASSERT_TRUE(tr.BorrowVec(&view).ok());
-  ASSERT_EQ(view.size(), 100u);
-  EXPECT_EQ(view[10], 100u);
-  EXPECT_TRUE(tr.ExpectEnd().ok());
+    PayloadReader tr(table->payload());
+    std::span<const uint64_t> view;
+    ASSERT_TRUE(tr.BorrowVec(&view).ok());
+    ASSERT_EQ(view.size(), 100u);
+    EXPECT_EQ(view[10], 100u);
+    EXPECT_TRUE(tr.ExpectEnd().ok());
 
-  EXPECT_TRUE(ExpectEndOfArtifact(r).ok());
+    EXPECT_TRUE(ExpectEndOfArtifact(r).ok());
+  }
 }
 
-TEST(MappedArtifactTest, MappedAndStreamSectionsAreIdentical) {
+TEST(MappedArtifactTest, EveryByteSourceYieldsTheSameSections) {
   const std::string bytes = MakeArtifactBytes();
-  const std::string path = TestPath("mmap_vs_stream.gam");
+  const std::string path = TestPath("mmap_vs_read.gam");
   WriteFileBytes(path, bytes);
 
-  auto mapped = OpenMappedArtifact(path);
-  ASSERT_TRUE(mapped.ok());
-  ArtifactReader mr(*mapped);
-  std::istringstream is(bytes, std::ios::binary);
-  ArtifactReader sr(is);
-  ASSERT_TRUE(mr.ReadHeader().ok());
-  ASSERT_TRUE(sr.ReadHeader().ok());
+  ArtifactReader mapped(OpenBytes(path, /*prefer_mmap=*/true));
+  ArtifactReader read(OpenBytes(path, /*prefer_mmap=*/false));
+  ArtifactReader copied(ArtifactBytes::Copy(bytes));
+  EXPECT_TRUE(mapped.source()->mapped());
+  EXPECT_FALSE(read.source()->mapped());
+  EXPECT_FALSE(copied.source()->mapped());
+  ASSERT_TRUE(mapped.ReadHeader().ok());
+  ASSERT_TRUE(read.ReadHeader().ok());
+  ASSERT_TRUE(copied.ReadHeader().ok());
   for (;;) {
-    auto ms = mr.ReadSection();
-    auto ss = sr.ReadSection();
+    auto ms = mapped.ReadSection();
+    auto rs = read.ReadSection();
+    auto cs = copied.ReadSection();
     ASSERT_TRUE(ms.ok()) << ms.status().ToString();
-    ASSERT_TRUE(ss.ok()) << ss.status().ToString();
-    ASSERT_EQ(ms->id, ss->id);
-    EXPECT_TRUE(ms->is_mapped);
-    EXPECT_FALSE(ss->is_mapped);
-    EXPECT_EQ(ms->payload(), ss->payload());
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    ASSERT_TRUE(cs.ok()) << cs.status().ToString();
+    ASSERT_EQ(ms->id, rs->id);
+    ASSERT_EQ(ms->id, cs->id);
+    EXPECT_EQ(ms->payload(), rs->payload());
+    EXPECT_EQ(ms->payload(), cs->payload());
     if (ms->id == kEndSectionId) break;
   }
+}
+
+TEST(MappedArtifactTest, CopyIsAlignedWhateverTheInputAddress) {
+  const std::string bytes = " " + MakeArtifactBytes();
+  const std::string_view unaligned(bytes.data() + 1, bytes.size() - 1);
+  auto copy = ArtifactBytes::Copy(unaligned);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(copy->bytes().data()) %
+                kSectionAlignment,
+            0u);
+  EXPECT_EQ(copy->bytes(), unaligned);
+  EXPECT_FALSE(copy->mapped());
 }
 
 TEST(MappedArtifactTest, TruncationAtEveryCutIsATypedError) {
   const std::string bytes = MakeArtifactBytes();
   const std::string path = TestPath("mmap_truncated.gam");
-  // Sweep every prefix length: each must produce a Status error from
-  // Open or from section reads — never garbage or a crash.
+  // Sweep every prefix length through both file sources: each must
+  // produce a Status error from the header or section reads — never
+  // garbage or a crash.
   for (size_t cut = 0; cut < bytes.size(); cut += 7) {
     WriteFileBytes(path, bytes.substr(0, cut));
-    auto mapped = OpenMappedArtifact(path);
-    if (!mapped.ok()) continue;  // header-level rejection is fine
-    ArtifactReader r(*mapped);
-    auto header = r.ReadHeader();
-    if (!header.ok()) continue;
-    Status error = Status::OK();
-    for (int i = 0; i < 8; ++i) {
-      auto sec = r.ReadSection();
-      if (!sec.ok()) {
-        error = sec.status();
-        break;
+    for (const bool prefer_mmap : {true, false}) {
+      ArtifactReader r(OpenBytes(path, prefer_mmap));
+      auto header = r.ReadHeader();
+      Status error = header.status();
+      for (int i = 0; error.ok() && i < 8; ++i) {
+        auto sec = r.ReadSection();
+        if (!sec.ok()) {
+          error = sec.status();
+          break;
+        }
+        if (sec->id == kEndSectionId) break;
       }
-      if (sec->id == kEndSectionId) break;
-    }
-    // A cut before the end marker must surface an error somewhere.
-    if (cut < bytes.size()) {
+      // A cut before the end marker must surface an error somewhere.
       ASSERT_FALSE(error.ok()) << "cut " << cut << " slipped through";
       EXPECT_NE(error.ToString().find("truncated artifact"),
                 std::string::npos)
@@ -161,14 +180,53 @@ TEST(MappedArtifactTest, SmallSectionChecksumCorruptionRejected) {
   bytes[70] = static_cast<char>(bytes[70] ^ 0x01);
   const std::string path = TestPath("mmap_corrupt.gam");
   WriteFileBytes(path, bytes);
-  auto mapped = OpenMappedArtifact(path);
-  ASSERT_TRUE(mapped.ok());
-  ArtifactReader r(*mapped);
-  ASSERT_TRUE(r.ReadHeader().ok());
-  auto sec = r.ReadSection();
-  ASSERT_FALSE(sec.ok());
-  EXPECT_NE(sec.status().ToString().find("checksum"), std::string::npos)
-      << sec.status().ToString();
+  for (const bool prefer_mmap : {true, false}) {
+    ArtifactReader r(OpenBytes(path, prefer_mmap));
+    ASSERT_TRUE(r.ReadHeader().ok());
+    auto sec = r.ReadSection();
+    ASSERT_FALSE(sec.ok());
+    EXPECT_NE(sec.status().ToString().find("checksum"), std::string::npos)
+        << sec.status().ToString();
+  }
+}
+
+// One section bigger than kMappedChecksumVerifyBytes with one byte
+// flipped in the middle of its payload.
+std::string MakeCorruptLargeArtifactBytes() {
+  std::ostringstream os(std::ios::binary);
+  ArtifactWriter w(os);
+  EXPECT_TRUE(w.WriteHeader(ArtifactKind::kModel, 1).ok());
+  PayloadWriter big;
+  big.WriteVecU64(std::vector<uint64_t>(
+      static_cast<size_t>(kMappedChecksumVerifyBytes / 8) + 1024, 7));
+  EXPECT_TRUE(w.WriteSection(1, big).ok());
+  EXPECT_TRUE(w.Finish().ok());
+  std::string bytes = os.str();
+  const size_t mid = 64 + big.buffer().size() / 2;
+  bytes[mid] = static_cast<char>(bytes[mid] ^ 0x01);
+  return bytes;
+}
+
+// Owned buffers verify every checksum, however big the section; only a
+// mapping leaves bulk sections bounds-checked only (hashing them would
+// fault in every page).
+TEST(MappedArtifactTest, LargeSectionChecksumVerifiedFromOwnedBytes) {
+  const std::string bytes = MakeCorruptLargeArtifactBytes();
+  const std::string path = TestPath("mmap_corrupt_large.gam");
+  WriteFileBytes(path, bytes);
+  for (const bool copy : {false, true}) {
+    ArtifactReader r(copy ? ArtifactBytes::Copy(bytes)
+                          : OpenBytes(path, /*prefer_mmap=*/false));
+    ASSERT_TRUE(r.ReadHeader().ok());
+    auto sec = r.ReadSection();
+    ASSERT_FALSE(sec.ok()) << (copy ? "copy" : "read()");
+    EXPECT_NE(sec.status().ToString().find("checksum mismatch"),
+              std::string::npos)
+        << sec.status().ToString();
+  }
+  ArtifactReader mapped(OpenBytes(path, /*prefer_mmap=*/true));
+  ASSERT_TRUE(mapped.ReadHeader().ok());
+  EXPECT_TRUE(mapped.ReadSection().ok());
 }
 
 // A v2 artifact (packed sections, no padding) hand-rolled byte by byte.
@@ -200,36 +258,29 @@ std::string MakeV2ArtifactBytes() {
   return out;
 }
 
-TEST(MappedArtifactTest, V2ArtifactIsMmapFallbackButStreamLoadable) {
+TEST(MappedArtifactTest, V2ArtifactIsATypedErrorThroughEveryByteSource) {
   const std::string bytes = MakeV2ArtifactBytes();
   const std::string path = TestPath("mmap_v2.gam");
   WriteFileBytes(path, bytes);
 
-  auto mapped = OpenMappedArtifact(path);
-  ASSERT_FALSE(mapped.ok());
-  EXPECT_TRUE(IsMmapFallback(mapped.status())) << mapped.status().ToString();
-
-  // The stream reader accepts the same file (back-compat contract).
-  std::ifstream is(path, std::ios::binary);
-  ArtifactReader r(is);
-  auto header = r.ReadHeader();
-  ASSERT_TRUE(header.ok()) << header.status().ToString();
-  EXPECT_EQ(header->version, 2u);
-  auto sec = r.ReadSectionExpect(1);
-  ASSERT_TRUE(sec.ok()) << sec.status().ToString();
-  PayloadReader pr(sec->payload());
-  uint32_t v = 0;
-  ASSERT_TRUE(pr.ReadU32(&v).ok());
-  EXPECT_EQ(v, 42u);
-  EXPECT_TRUE(ExpectEndOfArtifact(r).ok());
+  for (const int source : {0, 1, 2}) {
+    ArtifactReader r(source == 2 ? ArtifactBytes::Copy(bytes)
+                                 : OpenBytes(path, source == 0));
+    auto header = r.ReadHeader();
+    ASSERT_FALSE(header.ok()) << "source " << source;
+    EXPECT_EQ(header.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(header.status().message().find("version 2"), std::string::npos)
+        << header.status().ToString();
+    EXPECT_NE(header.status().message().find("re-save"), std::string::npos)
+        << header.status().ToString();
+  }
 }
 
 TEST(MappedArtifactTest, BorrowVecRejectsMisalignedData) {
   // A payload whose vector data starts 4 bytes in: BorrowVec<uint64_t>
   // must fail the runtime alignment check instead of handing out a
-  // misaligned span. (Stream sections copy into std::string storage,
-  // which is 8-aligned, so build the reader over a manual buffer with
-  // a known-misaligned base.)
+  // misaligned span. (Every byte source is 64-byte aligned, so build
+  // the reader over a manual buffer with a known-misaligned base.)
   alignas(16) static char buf[64];
   PayloadWriter w;
   w.WriteU32(0);               // 4 bytes of prefix
@@ -247,9 +298,12 @@ TEST(MappedArtifactTest, BorrowVecRejectsMisalignedData) {
 }
 
 TEST(MappedArtifactTest, OpenRejectsMissingFile) {
-  auto mapped = OpenMappedArtifact(TestPath("does_not_exist.gam"));
-  ASSERT_FALSE(mapped.ok());
-  EXPECT_FALSE(IsMmapFallback(mapped.status()));
+  for (const bool prefer_mmap : {true, false}) {
+    auto bytes = ArtifactBytes::Open(TestPath("does_not_exist.gam"),
+                                     prefer_mmap);
+    ASSERT_FALSE(bytes.ok());
+    EXPECT_EQ(bytes.status().code(), StatusCode::kIOError);
+  }
 }
 
 }  // namespace

@@ -23,6 +23,16 @@ std::string WriteArtifact(ArtifactKind kind, uint32_t tag,
   return os.str();
 }
 
+TEST(Fnv1aTest, KnownValues) {
+  // FNV-1a 64 reference: hash of empty input is the offset basis.
+  EXPECT_EQ(Fnv1aHash("", 0), 0xCBF29CE484222325ULL);
+  // "a" -> well-known value.
+  EXPECT_EQ(Fnv1aHash("a", 1), 0xAF63DC4C8601EC8CULL);
+  // The incremental hasher matches the one-shot hash for any chunking.
+  EXPECT_EQ(Fnv1aHasher().Update("ab", 2).Update("c", 1).digest(),
+            Fnv1aHash("abc", 3));
+}
+
 TEST(PayloadTest, PrimitivesRoundTripExactly) {
   PayloadWriter w;
   w.WriteU8(0xAB);
@@ -186,8 +196,7 @@ TEST(PayloadTest, TrailingBytesRejected) {
 TEST(ArtifactTest, HeaderAndSectionsRoundTrip) {
   const std::string artifact = WriteArtifact(
       ArtifactKind::kModel, 42, {{1, "config"}, {2, "state-bytes"}});
-  std::istringstream is(artifact, std::ios::binary);
-  ArtifactReader r(is);
+  ArtifactReader r(ArtifactBytes::Copy(artifact));
   Result<ArtifactHeader> header = r.ReadHeader();
   ASSERT_TRUE(header.ok());
   EXPECT_EQ(header->version, kGancFormatVersion);
@@ -205,8 +214,7 @@ TEST(ArtifactTest, HeaderAndSectionsRoundTrip) {
 TEST(ArtifactTest, BadMagicRejected) {
   std::string artifact = WriteArtifact(ArtifactKind::kModel, 1, {});
   artifact[0] ^= 0x5A;
-  std::istringstream is(artifact, std::ios::binary);
-  ArtifactReader r(is);
+  ArtifactReader r(ArtifactBytes::Copy(artifact));
   Result<ArtifactHeader> header = r.ReadHeader();
   ASSERT_FALSE(header.ok());
   EXPECT_NE(header.status().message().find("magic"), std::string::npos);
@@ -215,8 +223,7 @@ TEST(ArtifactTest, BadMagicRejected) {
 TEST(ArtifactTest, WrongVersionRejected) {
   std::string artifact = WriteArtifact(ArtifactKind::kModel, 1, {});
   artifact[8] = static_cast<char>(kGancFormatVersion + 1);  // version field
-  std::istringstream is(artifact, std::ios::binary);
-  ArtifactReader r(is);
+  ArtifactReader r(ArtifactBytes::Copy(artifact));
   Result<ArtifactHeader> header = r.ReadHeader();
   ASSERT_FALSE(header.ok());
   EXPECT_NE(header.status().message().find("version"), std::string::npos);
@@ -228,8 +235,7 @@ TEST(ArtifactTest, CorruptSectionPayloadRejected) {
   // Header is 24 bytes, section header 12, then v3 zero-padding up to
   // the 64-byte payload boundary; flip a payload byte.
   artifact[64 + 3] ^= 0x5A;
-  std::istringstream is(artifact, std::ios::binary);
-  ArtifactReader r(is);
+  ArtifactReader r(ArtifactBytes::Copy(artifact));
   ASSERT_TRUE(r.ReadHeader().ok());
   Result<ArtifactReader::Section> s = r.ReadSection();
   ASSERT_FALSE(s.ok());
@@ -241,8 +247,7 @@ TEST(ArtifactTest, CorruptSectionPaddingRejected) {
                                        {{1, "payload-bytes"}});
   // A nonzero byte inside the v3 alignment padding is corruption too.
   artifact[24 + 12 + 3] ^= 0x5A;
-  std::istringstream is(artifact, std::ios::binary);
-  ArtifactReader r(is);
+  ArtifactReader r(ArtifactBytes::Copy(artifact));
   ASSERT_TRUE(r.ReadHeader().ok());
   Result<ArtifactReader::Section> s = r.ReadSection();
   ASSERT_FALSE(s.ok());
@@ -253,8 +258,7 @@ TEST(ArtifactTest, TruncatedSectionRejected) {
   std::string artifact = WriteArtifact(ArtifactKind::kModel, 1,
                                        {{1, "payload-bytes"}});
   artifact.resize(artifact.size() - 30);
-  std::istringstream is(artifact, std::ios::binary);
-  ArtifactReader r(is);
+  ArtifactReader r(ArtifactBytes::Copy(artifact));
   ASSERT_TRUE(r.ReadHeader().ok());
   // Either the payload or the end marker is gone; both must error, never
   // return garbage.
@@ -278,8 +282,7 @@ TEST(ArtifactTest, MissingEndMarkerDetected) {
   payload.WriteU32(5);
   ASSERT_TRUE(w.WriteSection(1, payload).ok());
   // No Finish(): reading past the section must fail, not hang or succeed.
-  std::istringstream is(os.str(), std::ios::binary);
-  ArtifactReader r(is);
+  ArtifactReader r(ArtifactBytes::Copy(os.str()));
   ASSERT_TRUE(r.ReadHeader().ok());
   ASSERT_TRUE(r.ReadSectionExpect(1).ok());
   EXPECT_FALSE(ExpectEndOfArtifact(r).ok());

@@ -15,7 +15,7 @@
 //       pipeline state.
 //
 //   ganc_cli recommend --dataset-cache=ratings.gdc \
-//            --load-model=psvd100.gam --output=topn.bin
+//            --load-model=psvd100.gam --output=topn.txt
 //       Skip training: load the artifact, run GANC, print the Table III
 //       metric bundle. With identical data/seed flags the output is
 //       byte-identical to a train-and-recommend run (CI pins this).
@@ -65,7 +65,6 @@
 #include "serve/recommendation_service.h"
 #include "serve/shard_router.h"
 #include "serve/topn_store.h"
-#include "util/binary_io.h"
 #include "util/flags.h"
 #include "util/metrics.h"
 #include "util/serialize.h"
@@ -89,8 +88,8 @@ void Usage() {
       "    [--ratings-file=PATH --delimiter=, --skip-header]\n"
       "    [--dataset-cache=PATH]   (binary cache from `cache-dataset`)\n"
       "    [--kappa=0.5] [--seed=42] [--mmap=true]\n"
-      "    --mmap controls zero-copy file mapping of v3 artifacts\n"
-      "    (dataset caches and model loads); --kappa=1 serves the whole\n"
+      "    --mmap maps artifacts (dataset caches and model loads);\n"
+      "    --mmap=false reads them into memory; --kappa=1 serves the whole\n"
       "    corpus as the train split without a materializing re-split.\n"
       "\n"
       "cache-dataset:  --out=PATH  (writes the binary dataset cache)\n"
@@ -227,14 +226,44 @@ struct Prepared {
   TrainTestSplit split;
 };
 
+// Writes `text` to `path` (overwrites).
+Status WriteTextFile(const std::string& path, const std::string& text) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  if (!os) return Status::IOError("cannot open " + path + " for writing");
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
+  os.close();
+  if (!os) return Status::IOError("write failed for " + path);
+  return Status::OK();
+}
+
+// --theta-out: one %.17g value per user and line (round-trips doubles).
+Status WriteThetaFile(const std::string& path,
+                      const std::vector<double>& theta) {
+  std::string text;
+  char buf[32];
+  for (const double v : theta) {
+    std::snprintf(buf, sizeof(buf), "%.17g\n", v);
+    text += buf;
+  }
+  return WriteTextFile(path, text);
+}
+
 // Shared epilogue of every recommend run: persist the collection when
-// requested and print the Table III comparison of base vs GANC.
+// requested and print the Table III comparison of base vs GANC. The
+// collection is written as `ganc_cli topn` prints it (one
+// "OK user=... n=... items=..." line per user), so it diffs against a
+// served transcript.
 int ReportRun(const Recommender& base, const std::string& ganc_name,
               const TopNCollection& topn, const RatingDataset& train,
               const RatingDataset& test, int n, ThreadPool* pool,
               const std::string& output) {
   if (!output.empty()) {
-    if (Status s = WriteTopNCollection(output, topn); !s.ok()) {
+    std::string text;
+    for (size_t u = 0; u < topn.size(); ++u) {
+      text += FormatTopNResponse(static_cast<UserId>(u), n, topn[u]);
+      text += '\n';
+    }
+    if (Status s = WriteTextFile(output, text); !s.ok()) {
       std::fprintf(stderr, "output: %s\n", s.ToString().c_str());
       return 1;
     }
@@ -440,7 +469,7 @@ int Train(const Flags& flags) {
       std::fprintf(stderr, "theta: %s\n", theta.status().ToString().c_str());
       return 1;
     }
-    if (Status s = WriteDoubleVector(theta_out, *theta); !s.ok()) {
+    if (Status s = WriteThetaFile(theta_out, *theta); !s.ok()) {
       std::fprintf(stderr, "theta-out: %s\n", s.ToString().c_str());
       return 1;
     }
@@ -612,7 +641,7 @@ int Recommend(const Flags& flags) {
   }
   const std::string theta_out = flags.GetString("theta-out", "");
   if (!theta_out.empty()) {
-    if (Status s = WriteDoubleVector(theta_out, *theta); !s.ok()) {
+    if (Status s = WriteThetaFile(theta_out, *theta); !s.ok()) {
       std::fprintf(stderr, "theta-out: %s\n", s.ToString().c_str());
       return 1;
     }
@@ -1078,9 +1107,9 @@ void PrintRowParamSummary(const char* label, const std::vector<float>& v) {
 
 // Decodes a latent-factor model's factor-table section: the scalar
 // header is shared by every precision; int8 adds per-row quantization
-// side tables worth summarizing. v3 payloads 8-align each table (the
-// zero-copy mmap requirement); v2 payloads are packed.
-Status InspectFactorSection(uint32_t version, std::string_view payload) {
+// side tables worth summarizing. Payloads 8-align each table (the
+// zero-copy load requirement).
+Status InspectFactorSection(std::string_view payload) {
   PayloadReader r(payload);
   uint8_t tag = 0;
   uint64_t g = 0;
@@ -1099,12 +1128,8 @@ Status InspectFactorSection(uint32_t version, std::string_view payload) {
       "    factor tables: %s, g=%llu, %llu user rows, %llu item rows%s\n",
       FactorPrecisionName(precision), static_cast<unsigned long long>(g),
       static_cast<unsigned long long>(user_rows),
-      static_cast<unsigned long long>(item_rows),
-      version >= 3 ? ", 8-aligned" : ", packed (v2)");
-  const bool aligned = version >= 3;
-  const auto skip = [&]() -> Status {
-    return aligned ? r.SkipAlign(8) : Status::OK();
-  };
+      static_cast<unsigned long long>(item_rows), ", 8-aligned");
+  const auto skip = [&]() -> Status { return r.SkipAlign(8); };
   switch (precision) {
     case FactorPrecision::kFp64: {
       for (const char* side : {"user", "item"}) {
@@ -1156,12 +1181,13 @@ Status InspectFactorSection(uint32_t version, std::string_view payload) {
 // `inspect`: dump an artifact's header and section table using the
 // validating reader, so a broken file is diagnosed instead of decoded.
 int Inspect(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+  // read(), not a mapping: an owned buffer verifies every checksum.
+  Result<ArtifactReader> opened = OpenArtifact(path, /*prefer_mmap=*/false);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
     return 1;
   }
-  ArtifactReader reader(is);
+  ArtifactReader& reader = *opened;
   Result<ArtifactHeader> header = reader.ReadHeader();
   if (!header.ok()) {
     std::fprintf(stderr, "header: %s\n", header.status().ToString().c_str());
@@ -1196,11 +1222,10 @@ int Inspect(const std::string& path) {
       case ModelType::kCofi: model_name = "CofiRank"; break;
     }
   }
-  std::printf("%s: GANC artifact, format version %u%s\n", path.c_str(),
-              header->version,
-              header->version >= 3
-                  ? " (64-byte aligned payloads, mmap-able)"
-                  : " (packed payloads, stream-only)");
+  std::printf(
+      "%s: GANC artifact, format version %u (64-byte aligned payloads, "
+      "mmap-able)\n",
+      path.c_str(), header->version);
   std::printf("  kind: %u (%s)\n", header->kind, kind_name);
   if (model_name != nullptr) {
     std::printf("  type tag: %u (%s)\n", header->type_tag, model_name);
@@ -1224,7 +1249,7 @@ int Inspect(const std::string& path) {
     total_payload += s->payload().size();
     const auto kind = static_cast<ArtifactKind>(header->kind);
     if (kind == ArtifactKind::kModel && s->id == kFactorTableSection) {
-      if (Status fs = InspectFactorSection(header->version, s->payload());
+      if (Status fs = InspectFactorSection(s->payload());
           !fs.ok()) {
         std::fprintf(stderr, "  factor table decode: %s\n",
                      fs.ToString().c_str());

@@ -73,6 +73,7 @@
 #include "recommender/factor_kernels.h"
 #include "serve/frontend.h"
 #include "serve/process_router.h"
+#include "serve/protocol.h"
 #include "serve/service_shard.h"
 #include "serve/shard_router.h"
 #include "serve/snapshot_swap.h"
@@ -99,9 +100,9 @@ void Usage() {
       "    [--factor-precision=fp64|fp32|int8]  (compact the snapshot's\n"
       "                        factor tables after load; fp64 = keep the\n"
       "                        artifact's own precision)\n"
-      "    [--mmap=true]      (open v3 dataset-cache/model/store\n"
-      "                        artifacts as zero-copy file mappings;\n"
-      "                        --mmap=false forces eager stream loads.\n"
+      "    [--mmap=true]      (open dataset-cache/model/store\n"
+      "                        artifacts as file mappings;\n"
+      "                        --mmap=false reads them into memory.\n"
       "                        Mapped serving wants --kappa=1, which\n"
       "                        skips the materializing split rebuild)\n"
       "\n"
@@ -151,7 +152,7 @@ void HandleStopSignal(int /*sig*/) {
   }
 }
 
-// Installs the stop handler *without* SA_RESTART: a getline() blocked
+// Installs the stop handler *without* SA_RESTART: a read blocked
 // on stdin must return EINTR on SIGTERM rather than resume, or a
 // daemonless server could only be stopped by closing its stdin.
 void InstallStopHandlers() {
@@ -178,6 +179,27 @@ bool WriteAll(int fd, const char* data, size_t size) {
   return true;
 }
 
+// Reads the next line of `in` into `line` without its newline, keeping
+// at most kMaxRequestLineBytes and discarding the rest of a longer line
+// through its newline (*too_long is then set). Returns false at EOF
+// with nothing read, or when a read fails (a stop signal's EINTR).
+bool ReadRequestLine(FILE* in, std::string* line, bool* too_long) {
+  line->clear();
+  *too_long = false;
+  int c;
+  flockfile(in);
+  while ((c = getc_unlocked(in)) != EOF && c != '\n') {
+    if (line->size() < kMaxRequestLineBytes) {
+      line->push_back(static_cast<char>(c));
+    } else {
+      *too_long = true;
+    }
+  }
+  const bool failed = c == EOF && ferror_unlocked(in) != 0;
+  funlockfile(in);
+  return !failed && (c != EOF || !line->empty() || *too_long);
+}
+
 // The one read loop, for stdin and every TCP connection: answers each
 // line of `in` through the Frontend and writes the reply to `out_fd`
 // until EOF, QUIT, a failed write or a stop signal. Reads are buffered
@@ -185,18 +207,19 @@ bool WriteAll(int fd, const char* data, size_t size) {
 // stdio stream must not interleave reads and writes on a socket).
 // Returns true when the peer sent QUIT.
 bool ServeLines(Frontend& frontend, FILE* in, int out_fd) {
-  char* line = nullptr;
-  size_t cap = 0;
-  ssize_t len;
+  static const std::string kTooLong =
+      FormatError("request line exceeds " +
+                  std::to_string(kMaxRequestLineBytes) + " bytes") +
+      "\n";
+  std::string line;
+  bool too_long = false;
   bool quit = false;
   while (!quit && !g_stop_requested.load() &&
-         (len = getline(&line, &cap, in)) != -1) {
-    std::string response = frontend.Handle(
-        std::string_view(line, static_cast<size_t>(len)), &quit);
-    response.push_back('\n');
+         ReadRequestLine(in, &line, &too_long)) {
+    std::string response =
+        too_long ? kTooLong : frontend.Handle(line, &quit) + "\n";
     if (!WriteAll(out_fd, response.data(), response.size())) break;
   }
-  free(line);
   return quit;
 }
 
@@ -321,7 +344,7 @@ void StopListener(Listener& listener) {
   if (listener.accept_thread.joinable()) listener.accept_thread.join();
   std::lock_guard<std::mutex> lock(listener.mu);
   for (const std::unique_ptr<Connection>& conn : listener.connections) {
-    // Unblock serving threads stuck in getline() on idle clients; the
+    // Unblock serving threads stuck reading idle clients; the
     // per-connection mutex guarantees the fd has not been recycled.
     std::lock_guard<std::mutex> conn_lock(conn->mu);
     if (!conn->closed) shutdown(conn->fd, SHUT_RDWR);
