@@ -8,6 +8,11 @@
 // Dyn is the submodularity-inducing component: every time an item is
 // recommended its future coverage gain shrinks, so OSLG steers later
 // (higher-theta) users toward still-uncovered items.
+//
+// The greedy (GreedyTopNForUserInto) reads a user's coverage scores for
+// all candidates through one ScoreItemsInto call, so the per-item cost is
+// a gather (Stat, Dyn) or a short inline computation (Rand, the snapshot
+// view), not a virtual call with a sqrt and a divide.
 
 #ifndef GANC_CORE_COVERAGE_H_
 #define GANC_CORE_COVERAGE_H_
@@ -23,6 +28,10 @@
 
 namespace ganc {
 
+/// The long-tail gain 1 / sqrt(f + 1) of an item recommended or rated f
+/// times: Stat's and Dyn's score, and CollectionValue's coverage term.
+inline double CoverageGain(double f) { return 1.0 / std::sqrt(f + 1.0); }
+
 /// Coverage score provider c(u, i) in [0, 1].
 class CoverageModel {
  public:
@@ -30,6 +39,11 @@ class CoverageModel {
 
   /// Coverage score of item i for user u.
   virtual double Score(UserId u, ItemId i) const = 0;
+
+  /// Writes Score(u, items[k]) into out[k] for every k, bit for bit
+  /// (out.size() == items.size()): one call per user on the greedy path.
+  virtual void ScoreItemsInto(UserId u, std::span<const ItemId> items,
+                              std::span<double> out) const = 0;
 
   /// Notifies the model that `i` was just recommended (no-op unless Dyn).
   virtual void Observe(ItemId /*i*/) {}
@@ -47,6 +61,8 @@ class RandCoverage : public CoverageModel {
       : num_items_(num_items), seed_(seed) {}
 
   double Score(UserId u, ItemId i) const override;
+  void ScoreItemsInto(UserId u, std::span<const ItemId> items,
+                      std::span<double> out) const override;
   std::string name() const override { return "Rand"; }
 
  private:
@@ -60,31 +76,46 @@ class StatCoverage : public CoverageModel {
   explicit StatCoverage(const RatingDataset& train);
 
   double Score(UserId u, ItemId i) const override;
+  void ScoreItemsInto(UserId u, std::span<const ItemId> items,
+                      std::span<double> out) const override;
   std::string name() const override { return "Stat"; }
 
  private:
   std::vector<double> score_;  // 1 / sqrt(f_i^R + 1)
 };
 
-/// Dyn: decreasing in the running recommendation frequency f_i^A.
+/// Dyn: decreasing in the running recommendation frequency f^A.
+///
+/// Alongside the counts it keeps the score row score_[i] =
+/// CoverageGain(f_i^A), updated for the one item each Observe touches and
+/// rebuilt by SetCounts, so Score and ScoreItemsInto only read it. The row
+/// costs 8 bytes per item (160 KB at 20k items) and is always equal to
+/// what the counts give.
 class DynCoverage : public CoverageModel {
  public:
   explicit DynCoverage(int32_t num_items)
-      : counts_(static_cast<size_t>(num_items), 0) {}
+      : counts_(static_cast<size_t>(num_items), 0),
+        score_(static_cast<size_t>(num_items), CoverageGain(0.0)) {}
 
-  double Score(UserId u, ItemId i) const override;
+  double Score(UserId /*u*/, ItemId i) const override {
+    return score_[static_cast<size_t>(i)];
+  }
+  void ScoreItemsInto(UserId u, std::span<const ItemId> items,
+                      std::span<double> out) const override;
   void Observe(ItemId i) override {
-    ++counts_[static_cast<size_t>(i)];
+    const size_t ii = static_cast<size_t>(i);
+    score_[ii] = CoverageGain(static_cast<double>(++counts_[ii]));
   }
   bool IsDynamic() const override { return true; }
   std::string name() const override { return "Dyn"; }
 
   /// Running recommendation frequencies f^A (the OSLG snapshot payload).
   const std::vector<uint32_t>& counts() const { return counts_; }
-  void SetCounts(std::vector<uint32_t> counts) { counts_ = std::move(counts); }
+  void SetCounts(std::vector<uint32_t> counts);
 
  private:
   std::vector<uint32_t> counts_;
+  std::vector<double> score_;  // CoverageGain(counts_[i])
 };
 
 /// Read-only Dyn scoring over borrowed counts. OSLG's parallel phase
@@ -97,10 +128,10 @@ class DynSnapshotView : public CoverageModel {
       : counts_(counts) {}
 
   double Score(UserId /*u*/, ItemId i) const override {
-    return 1.0 /
-           std::sqrt(static_cast<double>(counts_[static_cast<size_t>(i)]) +
-                     1.0);
+    return CoverageGain(static_cast<double>(counts_[static_cast<size_t>(i)]));
   }
+  void ScoreItemsInto(UserId u, std::span<const ItemId> items,
+                      std::span<double> out) const override;
   std::string name() const override { return "Dyn"; }
 
  private:

@@ -37,12 +37,18 @@ void GreedyTopNForUserInto(std::span<const double> accuracy, double theta_u,
                            const CoverageModel& coverage, UserId u,
                            std::span<const ItemId> candidates, int top_n,
                            ScoringContext& ctx, std::vector<ItemId>& out) {
+  // One virtual call fills the user's coverage row; the mix then reads
+  // two dense arrays per candidate inside the selection scan.
+  const std::span<double> cov = ctx.CandidateScores(candidates.size());
+  coverage.ScoreItemsInto(u, candidates, cov);
+  const double accuracy_weight = 1.0 - theta_u;
   std::vector<ScoredItem>& top = ctx.TopK();
-  SelectTopKByInto(
-      candidates, static_cast<size_t>(top_n),
-      [&](ItemId i) {
-        return (1.0 - theta_u) * accuracy[static_cast<size_t>(i)] +
-               theta_u * coverage.Score(u, i);
+  SelectTopKEmittedInto(
+      candidates.size(), static_cast<size_t>(top_n),
+      [&](size_t k) {
+        const ItemId i = candidates[k];
+        const double a = accuracy[static_cast<size_t>(i)];
+        return ScoredItem{i, accuracy_weight * a + theta_u * cov[k]};
       },
       &top);
   out.clear();
@@ -235,11 +241,10 @@ double CollectionValue(const AccuracyScorer& accuracy,
         double acc_sum = 0.0, cov_sum = 0.0;
         for (ItemId i : topn[static_cast<size_t>(u)]) {
           acc_sum += a[static_cast<size_t>(i)];
-          cov_sum +=
-              kind == CoverageKind::kDyn
-                  ? 1.0 / std::sqrt(1.0 + static_cast<double>(
-                                              counts[static_cast<size_t>(i)]))
-                  : static_cov->Score(u, i);
+          cov_sum += kind == CoverageKind::kDyn
+                         ? CoverageGain(static_cast<double>(
+                               counts[static_cast<size_t>(i)]))
+                         : static_cov->Score(u, i);
         }
         value += (1.0 - t) * acc_sum + t * cov_sum;
       });

@@ -95,9 +95,11 @@ std::vector<ItemId> GreedyTopNForUser(const std::vector<double>& accuracy,
                                       int top_n);
 
 /// Allocation-free variant: selects through ctx's top-k heap and
-/// overwrites `out` (capacity reused). Identical output. Uses ctx.TopK
-/// only, so `accuracy` may live in ctx.Scores and `candidates` in
-/// ctx.Candidates.
+/// overwrites `out` (capacity reused). Identical output. Reads every
+/// candidate's coverage score through one coverage.ScoreItemsInto call
+/// into ctx.CandidateScores; uses no other ctx buffer but ctx.TopK, so
+/// `accuracy` may live in ctx.Scores or ctx.BatchScores and `candidates`
+/// in ctx.Candidates.
 void GreedyTopNForUserInto(std::span<const double> accuracy, double theta_u,
                            const CoverageModel& coverage, UserId u,
                            std::span<const ItemId> candidates, int top_n,

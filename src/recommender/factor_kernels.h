@@ -39,6 +39,12 @@
 // (the kernel TUs are compiled with -ffp-contract=off so no variant
 // fuses the mul+add the reference keeps separate), and int8 kernels
 // compute an exact integer dot before the shared DequantDot combine.
+//
+// Each variant also carries the per-row min-max normalization GANC
+// applies to accuracy scores (KernelOps::min_max_normalize, reached
+// through MinMaxNormalize in util/stats.h): vector min/max and
+// (v - lo) / range passes, bit-identical to the scalar reference because
+// min/max only select and the subtract and divide are correctly rounded.
 
 #ifndef GANC_RECOMMENDER_FACTOR_KERNELS_H_
 #define GANC_RECOMMENDER_FACTOR_KERNELS_H_
@@ -78,11 +84,16 @@ using BatchKernelFn = void (*)(const FactorView& view,
                                std::span<const UserId> users,
                                std::span<double> out);
 
-/// A variant's kernel set, one entry per FactorPrecision.
+/// Min-max normalizes one score row in place (MinMaxNormalize's kernel).
+using RowNormalizeFn = void (*)(std::span<double> row);
+
+/// A variant's kernel set: one batch entry per FactorPrecision, plus the
+/// per-row min-max normalization GANC applies to accuracy scores.
 struct KernelOps {
   BatchKernelFn batch_f64 = nullptr;
   BatchKernelFn batch_f32 = nullptr;
   BatchKernelFn batch_i8 = nullptr;
+  RowNormalizeFn min_max_normalize = nullptr;
 };
 
 /// Per-variant tables. Each lives in its own TU; on builds/targets where

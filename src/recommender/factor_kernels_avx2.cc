@@ -28,6 +28,11 @@ struct Avx2Traits {
     return _mm256_add_pd(acc, _mm256_mul_pd(a, b));
   }
   static F64 ZeroF64() { return _mm256_setzero_pd(); }
+  // min(a, b) = a < b ? a : b, max(a, b) = a > b ? a : b.
+  static F64 MinF64(F64 a, F64 b) { return _mm256_min_pd(a, b); }
+  static F64 MaxF64(F64 a, F64 b) { return _mm256_max_pd(a, b); }
+  static F64 SubF64(F64 a, F64 b) { return _mm256_sub_pd(a, b); }
+  static F64 DivF64(F64 a, F64 b) { return _mm256_div_pd(a, b); }
   // cols[k] lane l = p[l * stride + k]: the 4x4 transpose.
   static void LoadTransposedF64(const double* p, size_t stride, F64* cols) {
     const F64 r0 = _mm256_loadu_pd(p);
@@ -106,7 +111,8 @@ struct Avx2Traits {
 
 const KernelOps& Avx2KernelOps() {
   static const KernelOps ops{&DispatchF64<Avx2Traits>, &DispatchF32<Avx2Traits>,
-                             &DispatchI8<Avx2Traits>};
+                             &DispatchI8<Avx2Traits>,
+                             &MinMaxNormalizeF64<Avx2Traits>};
   return ops;
 }
 

@@ -35,6 +35,11 @@ struct Avx512Traits {
     return _mm512_add_pd(acc, _mm512_mul_pd(a, b));
   }
   static F64 ZeroF64() { return _mm512_setzero_pd(); }
+  // min(a, b) = a < b ? a : b, max(a, b) = a > b ? a : b.
+  static F64 MinF64(F64 a, F64 b) { return _mm512_min_pd(a, b); }
+  static F64 MaxF64(F64 a, F64 b) { return _mm512_max_pd(a, b); }
+  static F64 SubF64(F64 a, F64 b) { return _mm512_sub_pd(a, b); }
+  static F64 DivF64(F64 a, F64 b) { return _mm512_div_pd(a, b); }
   // cols[k] lane l = p[l * stride + k]: 8 rows, transposed in registers
   // (pairs interleaved, then 128-bit halves, then 256-bit halves).
   static void LoadTransposedF64(const double* p, size_t stride, F64* cols) {
@@ -123,7 +128,8 @@ struct Avx512Traits {
 const KernelOps& Avx512KernelOps() {
   static const KernelOps ops{&DispatchF64<Avx512Traits>,
                              &DispatchF32<Avx512Traits>,
-                             &DispatchI8<Avx512Traits>};
+                             &DispatchI8<Avx512Traits>,
+                             &MinMaxNormalizeF64<Avx512Traits>};
   return ops;
 }
 

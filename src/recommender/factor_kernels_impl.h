@@ -38,6 +38,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <type_traits>
 #include <utility>
@@ -549,6 +550,75 @@ void DispatchI8(const FactorView& v, std::span<const UserId> users,
   }
   if (v.user_base) return BatchI8<T, false, true>(v, users, out);
   return BatchI8<T, false, false>(v, users, out);
+}
+
+// ---------------------------------------------------------------------------
+// Min-max normalization of one score row (MinMaxNormalize, util/stats.h):
+// x <- (x - lo) / (hi - lo), or all zeros when hi <= lo.
+//
+// Bit-identical on every variant to the reference std::minmax_element
+// followed by a scalar (v - lo) / range loop, for NaN-free rows: min/max
+// only select, and the subtract and divide are correctly rounded IEEE
+// operations at any lane width. The one choice a lane-parallel reduction
+// makes differently is which of two equal zeros (-0.0 == +0.0) becomes
+// lo or hi; the reference takes the first minimal and the last maximal
+// element, so a zero extreme re-reads its sign from there.
+inline constexpr size_t kMinMaxChains = 4;  // independent min/max chains
+
+template <typename T>
+void MinMaxNormalizeF64(std::span<double> x) {
+  const size_t n = x.size();
+  if (n == 0) return;
+  double* p = x.data();
+  constexpr size_t kL = T::kLanesF64;
+  constexpr size_t kW = kMinMaxChains * kL;
+  double lo = p[0];
+  double hi = p[0];
+  size_t i = 0;
+  if (n >= kW) {
+    typename T::F64 vlo[kMinMaxChains];
+    typename T::F64 vhi[kMinMaxChains];
+    for (size_t c = 0; c < kMinMaxChains; ++c) {
+      vlo[c] = vhi[c] = T::LoadUF64(p + c * kL);
+    }
+    for (i = kW; i + kW <= n; i += kW) {
+      for (size_t c = 0; c < kMinMaxChains; ++c) {
+        const typename T::F64 v = T::LoadUF64(p + i + c * kL);
+        vlo[c] = T::MinF64(v, vlo[c]);
+        vhi[c] = T::MaxF64(v, vhi[c]);
+      }
+    }
+    double lanes_lo[kW];
+    double lanes_hi[kW];
+    for (size_t c = 0; c < kMinMaxChains; ++c) {
+      T::StoreUF64(lanes_lo + c * kL, vlo[c]);
+      T::StoreUF64(lanes_hi + c * kL, vhi[c]);
+    }
+    for (size_t l = 0; l < kW; ++l) {
+      lo = lanes_lo[l] < lo ? lanes_lo[l] : lo;
+      hi = lanes_hi[l] > hi ? lanes_hi[l] : hi;
+    }
+  }
+  for (; i < n; ++i) {
+    lo = p[i] < lo ? p[i] : lo;
+    hi = p[i] > hi ? p[i] : hi;
+  }
+  if (lo == 0.0) lo = *std::find(p, p + n, 0.0);
+  if (hi == 0.0) {
+    hi = *std::find(std::reverse_iterator<double*>(p + n),
+                    std::reverse_iterator<double*>(p), 0.0);
+  }
+  const double range = hi - lo;
+  if (range <= 0.0) {
+    std::fill(p, p + n, 0.0);
+    return;
+  }
+  const typename T::F64 vlo = T::BroadcastF64(lo);
+  const typename T::F64 vrange = T::BroadcastF64(range);
+  for (i = 0; i + kL <= n; i += kL) {
+    T::StoreUF64(p + i, T::DivF64(T::SubF64(T::LoadUF64(p + i), vlo), vrange));
+  }
+  for (; i < n; ++i) p[i] = (p[i] - lo) / range;
 }
 
 }  // namespace internal

@@ -27,6 +27,10 @@ struct ScalarTraits {
   static F64 AddF64(F64 a, F64 b) { return a + b; }
   static F64 MulAddF64(F64 acc, F64 a, F64 b) { return acc + a * b; }
   static F64 ZeroF64() { return 0.0; }
+  static F64 MinF64(F64 a, F64 b) { return a < b ? a : b; }
+  static F64 MaxF64(F64 a, F64 b) { return a > b ? a : b; }
+  static F64 SubF64(F64 a, F64 b) { return a - b; }
+  static F64 DivF64(F64 a, F64 b) { return a / b; }
   static void LoadTransposedF64(const double* p, size_t, F64* cols) {
     cols[0] = *p;
   }
@@ -230,7 +234,8 @@ void ScalarI8(const FactorView& v, std::span<const UserId> users,
 }  // namespace
 
 const KernelOps& ScalarKernelOps() {
-  static const KernelOps ops{&ScalarF64, &ScalarF32, &ScalarI8};
+  static const KernelOps ops{&ScalarF64, &ScalarF32, &ScalarI8,
+                             &MinMaxNormalizeF64<ScalarTraits>};
   return ops;
 }
 

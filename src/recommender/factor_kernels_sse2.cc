@@ -27,6 +27,11 @@ struct Sse2Traits {
     return _mm_add_pd(acc, _mm_mul_pd(a, b));
   }
   static F64 ZeroF64() { return _mm_setzero_pd(); }
+  // min(a, b) = a < b ? a : b, max(a, b) = a > b ? a : b.
+  static F64 MinF64(F64 a, F64 b) { return _mm_min_pd(a, b); }
+  static F64 MaxF64(F64 a, F64 b) { return _mm_max_pd(a, b); }
+  static F64 SubF64(F64 a, F64 b) { return _mm_sub_pd(a, b); }
+  static F64 DivF64(F64 a, F64 b) { return _mm_div_pd(a, b); }
   // cols[k] lane l = p[l * stride + k]: the 2x2 transpose.
   static void LoadTransposedF64(const double* p, size_t stride, F64* cols) {
     const F64 r0 = _mm_loadu_pd(p);
@@ -86,7 +91,8 @@ struct Sse2Traits {
 
 const KernelOps& Sse2KernelOps() {
   static const KernelOps ops{&DispatchF64<Sse2Traits>, &DispatchF32<Sse2Traits>,
-                             &DispatchI8<Sse2Traits>};
+                             &DispatchI8<Sse2Traits>,
+                             &MinMaxNormalizeF64<Sse2Traits>};
   return ops;
 }
 

@@ -16,6 +16,12 @@ std::span<double> ScoringContext::BatchScores(size_t n) {
   return {batch_scores_.data(), n};
 }
 
+std::span<double> ScoringContext::CandidateScores(size_t n) {
+  CheckOwner();
+  candidate_scores_.resize(n);  // shrinking keeps capacity
+  return {candidate_scores_.data(), n};
+}
+
 std::vector<ItemId>& ScoringContext::Items(size_t slot) {
   CheckOwner();
   if (items_.size() <= slot) items_.resize(slot + 1);

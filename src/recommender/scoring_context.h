@@ -20,6 +20,8 @@
 //   Scores()  == Buffer(0)  dense per-item scores (RecommendTopNInto)
 //   TopK()                  heap/output of the top-k selection kernels
 //   Candidates() == Items(0) candidate item ids (UnratedItemsInto target)
+//   CandidateScores()       per-candidate coverage scores of the GANC
+//                           greedy (GreedyTopNForUserInto)
 
 #ifndef GANC_RECOMMENDER_SCORING_CONTEXT_H_
 #define GANC_RECOMMENDER_SCORING_CONTEXT_H_
@@ -67,6 +69,12 @@ class ScoringContext {
   /// Buffer slot so consumers can keep per-user scratch live while a
   /// score block is in flight.
   std::span<double> BatchScores(size_t n);
+
+  /// Scores indexed like a candidate list, resized to `n` entries: the
+  /// GANC greedy's per-candidate coverage row. Distinct from Scores(),
+  /// the numbered Buffers and BatchScores, so it never aliases the
+  /// accuracy row the greedy reads beside it.
+  std::span<double> CandidateScores(size_t n);
 
   /// The user-id list the contiguous ForEachScoredUser variant scores
   /// through (capacity reused across blocks).
@@ -120,6 +128,7 @@ class ScoringContext {
   // boundary regardless of allocator behavior.
   std::vector<AlignedVector<double>> buffers_;
   AlignedVector<double> batch_scores_;
+  AlignedVector<double> candidate_scores_;
   std::vector<UserId> batch_users_;
   // A deque: growing it for a new slot never moves the existing ones.
   std::deque<std::vector<ItemId>> items_;

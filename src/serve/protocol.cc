@@ -8,6 +8,18 @@ namespace ganc {
 
 namespace {
 
+// Longest piece of a client token an ERR reply quotes back. The line
+// cap admits 1 MiB tokens; echoing one whole would make the reply as
+// large as the request.
+constexpr size_t kMaxEchoBytes = 64;
+
+// `token` as an error message quotes it: at most kMaxEchoBytes bytes,
+// then "..." when it was longer.
+std::string Echo(std::string_view token) {
+  if (token.size() <= kMaxEchoBytes) return std::string(token);
+  return std::string(token.substr(0, kMaxEchoBytes)) + "...";
+}
+
 // Whitespace-splits `line` into tokens (multiple separators collapse).
 std::vector<std::string_view> Tokenize(std::string_view line) {
   std::vector<std::string_view> tokens;
@@ -37,13 +49,13 @@ Result<int32_t> ParseInt(std::string_view key, std::string_view value) {
       std::from_chars(value.data(), value.data() + value.size(), out);
   if (ec != std::errc{} || ptr != value.data() + value.size()) {
     return Status::InvalidArgument("bad integer for '" + std::string(key) +
-                                   "': '" + std::string(value) + "'");
+                                   "': '" + Echo(value) + "'");
   }
   if (out < std::numeric_limits<int32_t>::min() ||
       out > std::numeric_limits<int32_t>::max()) {
     return Status::InvalidArgument("integer out of range for '" +
                                    std::string(key) + "': '" +
-                                   std::string(value) + "'");
+                                   Echo(value) + "'");
   }
   return static_cast<int32_t>(out);
 }
@@ -54,7 +66,7 @@ Result<std::vector<ItemId>> ParseIdList(std::string_view key,
   // (empty mid-list segments fail in ParseInt below).
   if (csv.empty() || csv.back() == ',') {
     return Status::InvalidArgument("bad id list for '" + std::string(key) +
-                                   "': '" + std::string(csv) + "'");
+                                   "': '" + Echo(csv) + "'");
   }
   std::vector<ItemId> ids;
   size_t pos = 0;
@@ -103,8 +115,7 @@ Result<ServeRequest> ParseServeRequest(std::string_view line) {
   } else if (verb == "QUIT") {
     req.command = ServeCommand::kQuit;
   } else {
-    return Status::InvalidArgument("unknown command '" + std::string(verb) +
-                                   "'");
+    return Status::InvalidArgument("unknown command '" + Echo(verb) + "'");
   }
 
   const bool is_topn =
@@ -115,7 +126,7 @@ Result<ServeRequest> ParseServeRequest(std::string_view line) {
     const size_t eq = token.find('=');
     if (eq == std::string_view::npos) {
       return Status::InvalidArgument("expected key=value, got '" +
-                                     std::string(token) + "'");
+                                     Echo(token) + "'");
     }
     const std::string_view key = token.substr(0, eq);
     const std::string_view value = token.substr(eq + 1);
@@ -146,7 +157,7 @@ Result<ServeRequest> ParseServeRequest(std::string_view line) {
       req.items = std::move(ids).value();
       has_items = true;
     } else {
-      return Status::InvalidArgument("unknown key '" + std::string(key) + "'");
+      return Status::InvalidArgument("unknown key '" + Echo(key) + "'");
     }
   }
 

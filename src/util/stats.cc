@@ -8,6 +8,8 @@
 #include <numeric>
 #include <string>
 
+#include "recommender/factor_kernels.h"
+
 namespace ganc {
 
 double Mean(const std::vector<double>& x) {
@@ -53,15 +55,7 @@ void MinMaxNormalize(std::vector<double>* x) {
 }
 
 void MinMaxNormalize(std::span<double> x) {
-  if (x.empty()) return;
-  const auto [lo_it, hi_it] = std::minmax_element(x.begin(), x.end());
-  const double lo = *lo_it;
-  const double range = *hi_it - lo;
-  if (range <= 0.0) {
-    std::fill(x.begin(), x.end(), 0.0);
-    return;
-  }
-  for (double& v : x) v = (v - lo) / range;
+  ActiveKernelOps().min_max_normalize(x);
 }
 
 void ClampAll(std::vector<double>* x, double lo, double hi) {

@@ -32,6 +32,9 @@ double Quantile(std::vector<double> x, double q);
 
 /// Min-max normalization x_i <- (x_i - min) / (max - min), the paper's
 /// Section II-A normalization. A constant vector maps to all zeros.
+/// Runs the active scoring-kernel variant's SIMD row kernel
+/// (recommender/factor_kernels.h); every variant is bit-identical to
+/// std::minmax_element followed by a scalar divide loop on NaN-free input.
 void MinMaxNormalize(std::vector<double>* x);
 
 /// Span overload for buffers borrowed from a ScoringContext.

@@ -74,23 +74,23 @@ inline void PartialSelectBest(std::vector<ScoredItem>* out, size_t k) {
 inline bool UseScanSelect(size_t k, size_t n) { return k <= 128 && k * 8 < n; }
 
 /// The sparse-k threshold scan: streams `emit(i)` for i in [0, n) into the
-/// k-bounded best-first `*out`. The current worst kept (score, item) is
-/// held in locals so the hot reject path is one score comparison with no
-/// memory traffic; improving candidates insertion-place (O(k), rare).
-/// The tie order is exactly ScoredBetter's, so output matches
-/// PartialSelectBest.
+/// k-bounded best-first `*out` (which starts empty). The current worst
+/// kept (score, item) is held in locals so the hot reject path is one
+/// score comparison per block of candidates with no memory traffic;
+/// improving candidates insertion-place (O(k), rare). `emit` must be a
+/// pure function of i: it runs a block ahead of the insertions. The tie
+/// order is exactly ScoredBetter's, so output matches PartialSelectBest.
 template <typename EmitFn>
 void ScanSelectBestInto(size_t n, size_t k, EmitFn&& emit,
                         std::vector<ScoredItem>* out) {
   size_t have = 0;
   double worst_score = 0.0;
   int32_t worst_item = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const ScoredItem c = emit(i);
+  const auto offer = [&](const ScoredItem& c) {
     if (have == k) {
       if (c.score < worst_score ||
           (c.score == worst_score && c.item >= worst_item)) {
-        continue;
+        return;
       }
       out->pop_back();
     } else {
@@ -100,7 +100,26 @@ void ScanSelectBestInto(size_t n, size_t k, EmitFn&& emit,
         std::upper_bound(out->begin(), out->end(), c, ScoredBetterCmp{}), c);
     worst_score = out->back().score;
     worst_item = out->back().item;
+  };
+  // Blocks of kScanBlock candidates: once k are held, a block whose
+  // scores all fall below the worst kept one is rejected by one
+  // branch-free test instead of one branch per candidate. Only blocks
+  // that might hold an entrant are offered candidate by candidate.
+  constexpr size_t kScanBlock = 8;
+  size_t i = 0;
+  for (; i + kScanBlock <= n; i += kScanBlock) {
+    ScoredItem block[kScanBlock];
+    for (size_t j = 0; j < kScanBlock; ++j) block[j] = emit(i + j);
+    if (have == k) {
+      bool maybe = false;
+      for (size_t j = 0; j < kScanBlock; ++j) {
+        maybe |= !(block[j].score < worst_score);
+      }
+      if (!maybe) continue;
+    }
+    for (size_t j = 0; j < kScanBlock; ++j) offer(block[j]);
   }
+  for (; i < n; ++i) offer(emit(i));
 }
 
 /// Returns the k best entries of `candidates` in best-first order.
@@ -120,30 +139,38 @@ inline std::vector<ScoredItem> SelectTopK(
   return out;
 }
 
+/// Allocation-free top-k over n entries produced on the fly: `emit(i)`
+/// for i in [0, n) returns the i-th ScoredItem; `*out` receives the k
+/// best in best-first order and doubles as the selection scratch (in the
+/// dense-k regime its capacity grows to n once and is reused across
+/// calls). Tie-breaking is identical to SelectTopK.
+template <typename EmitFn>
+void SelectTopKEmittedInto(size_t n, size_t k, EmitFn&& emit,
+                           std::vector<ScoredItem>* out) {
+  out->clear();
+  if (k == 0) return;
+  if (UseScanSelect(k, n)) {
+    ScanSelectBestInto(n, k, emit, out);
+    return;
+  }
+  out->reserve(n);
+  for (size_t i = 0; i < n; ++i) out->push_back(emit(i));
+  PartialSelectBest(out, k);
+}
+
 /// Allocation-free top-k over candidate item ids scored on the fly.
 /// `score_of(item)` maps an item id to its score; `*out` receives the k
-/// best entries in best-first order. `*out` doubles as the selection
-/// scratch (in the dense-k regime its capacity grows to the candidate
-/// count once and is reused across calls). Tie-breaking is identical to
-/// SelectTopK.
+/// best entries in best-first order (see SelectTopKEmittedInto).
 template <typename ScoreFn>
 void SelectTopKByInto(std::span<const int32_t> candidates, size_t k,
                       ScoreFn&& score_of, std::vector<ScoredItem>* out) {
-  out->clear();
-  if (k == 0) return;
-  if (UseScanSelect(k, candidates.size())) {
-    ScanSelectBestInto(
-        candidates.size(), k,
-        [&](size_t i) {
-          const int32_t item = candidates[i];
-          return ScoredItem{item, score_of(item)};
-        },
-        out);
-    return;
-  }
-  out->reserve(candidates.size());
-  for (int32_t item : candidates) out->push_back({item, score_of(item)});
-  PartialSelectBest(out, k);
+  SelectTopKEmittedInto(
+      candidates.size(), k,
+      [&](size_t i) {
+        const int32_t item = candidates[i];
+        return ScoredItem{item, score_of(item)};
+      },
+      out);
 }
 
 /// Allocation-free top-k over an entire dense score row, excluding items

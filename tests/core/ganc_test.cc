@@ -1,7 +1,11 @@
 #include "core/ganc.h"
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
 #include <numeric>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -68,6 +72,117 @@ TEST(GreedyTopNForUserTest, PureCoverageAtThetaOne) {
   for (ItemId i : cands) cov_scored.push_back({i, stat.Score(0, i)});
   const auto pure = SelectTopK(cov_scored, 5);
   for (size_t k = 0; k < 5; ++k) EXPECT_EQ(mixed[k], pure[k].item);
+}
+
+// The greedy against a literal reference that shares none of its
+// batched path: each candidate's coverage from the formula (Stat, Dyn
+// and the snapshot view from their counts; Rand through Score, its
+// definition), the mixed score in the same expression, and a full sort
+// under "higher score, then smaller item id" instead of the top-k
+// kernels.
+std::vector<ItemId> ReferenceGreedy(std::span<const double> accuracy,
+                                    double theta,
+                                    const std::function<double(ItemId)>& cov,
+                                    std::span<const ItemId> candidates,
+                                    int top_n) {
+  std::vector<std::pair<double, ItemId>> scored;
+  for (const ItemId i : candidates) {
+    scored.emplace_back((1.0 - theta) * accuracy[static_cast<size_t>(i)] +
+                            theta * cov(i),
+                        i);
+  }
+  std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second < b.second;
+  });
+  std::vector<ItemId> out;
+  for (size_t k = 0; k < scored.size() && k < static_cast<size_t>(top_n);
+       ++k) {
+    out.push_back(scored[k].second);
+  }
+  return out;
+}
+
+double GainFromCount(double f) { return 1.0 / std::sqrt(f + 1.0); }
+
+TEST(GreedyTopNForUserTest, MatchesLiteralReferenceForEveryCoverageModel) {
+  Fixture f;
+  const int32_t ni = f.train.num_items();
+  Rng rng(21);
+
+  // Accuracy rows: the fitted model's row, and a coarsely quantized one
+  // whose many equal values make mixed scores tie at theta 0 and 1.
+  const std::vector<double> fitted = f.scorer->ScoreAll(3);
+  std::vector<double> quantized(static_cast<size_t>(ni));
+  for (double& a : quantized) a = static_cast<double>(rng.UniformInt(4)) / 4.0;
+
+  // Candidate lists: a user's unrated items, every third item, a
+  // shuffled subset, and lists shorter than the larger top_n values.
+  std::vector<std::vector<ItemId>> lists;
+  lists.push_back(f.train.UnratedItems(3));
+  lists.emplace_back();
+  for (ItemId i = 0; i < ni; i += 3) lists.back().push_back(i);
+  std::vector<ItemId> shuffled(static_cast<size_t>(ni));
+  std::iota(shuffled.begin(), shuffled.end(), 0);
+  rng.Shuffle(&shuffled);
+  shuffled.resize(90);
+  lists.push_back(shuffled);
+  lists.push_back({7, 3, 150});
+  lists.emplace_back();
+
+  const RandCoverage rand_cov(ni, 5);
+  const StatCoverage stat(f.train);
+  DynCoverage observed(ni);
+  for (int k = 0; k < 400; ++k) {
+    observed.Observe(static_cast<ItemId>(rng.UniformInt(40)));
+  }
+  std::vector<uint32_t> counts(static_cast<size_t>(ni));
+  for (uint32_t& c : counts) c = static_cast<uint32_t>(rng.UniformInt(3));
+  DynCoverage set(ni);
+  set.SetCounts(counts);
+  const DynSnapshotView view(counts);
+
+  const auto count_gain = [](const std::vector<uint32_t>& c) {
+    return [&c](ItemId i) {
+      return GainFromCount(static_cast<double>(c[static_cast<size_t>(i)]));
+    };
+  };
+  const struct {
+    const char* name;
+    const CoverageModel* model;
+    std::function<double(ItemId)> literal;
+  } models[] = {
+      {"Rand", &rand_cov, [&](ItemId i) { return rand_cov.Score(3, i); }},
+      {"Stat", &stat,
+       [&](ItemId i) {
+         return GainFromCount(static_cast<double>(f.train.Popularity(i)));
+       }},
+      {"Dyn after Observe", &observed, count_gain(observed.counts())},
+      {"Dyn after SetCounts", &set, count_gain(counts)},
+      {"DynSnapshotView", &view, count_gain(counts)},
+  };
+
+  ScoringContext ctx;
+  std::vector<ItemId> got;
+  for (const auto& m : models) {
+    for (const std::vector<double>* acc :
+         std::initializer_list<const std::vector<double>*>{&fitted,
+                                                           &quantized}) {
+      for (const std::vector<ItemId>& cands : lists) {
+        for (const double theta : {0.0, 0.3, 1.0}) {
+          for (const int top_n : {1, 5, 40, 250}) {
+            GreedyTopNForUserInto(*acc, theta, *m.model, 3, cands, top_n, ctx,
+                                  got);
+            EXPECT_EQ(got, ReferenceGreedy(*acc, theta, m.literal, cands,
+                                           top_n))
+                << m.name << " theta=" << theta << " top_n=" << top_n
+                << " candidates=" << cands.size()
+                << (acc == &quantized ? " quantized" : " fitted");
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(GancTest, ValidatesInputs) {

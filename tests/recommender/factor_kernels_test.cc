@@ -4,10 +4,15 @@
 // ScoreInto scores bit for bit at every factor precision — fp64/fp32
 // because each lane replays the reference accumulation sequence with
 // contraction disabled, int8 because the integer dot is exact and every
-// variant shares the DequantDot combine.
+// variant shares the DequantDot combine. Every variant's min-max row
+// normalization must match the scalar std::minmax_element reference bit
+// for bit too.
 
 #include "recommender/factor_kernels.h"
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -25,6 +30,7 @@
 #include "recommender/rsvd.h"
 #include "recommender/scoring_context.h"
 #include "util/aligned.h"
+#include "util/stats.h"
 
 namespace ganc {
 namespace {
@@ -270,6 +276,92 @@ TEST(FactorKernelsTest, FittedModelsBitIdenticalAcrossVariants) {
               << FactorPrecisionName(precision) << " variant "
               << KernelVariantName(v) << " index " << i;
         }
+      }
+    }
+  }
+}
+
+// MinMaxNormalize dispatches to the active variant's row kernel; each
+// must equal this literal reference bit for bit (zero signs included).
+std::vector<double> ReferenceMinMaxNormalize(std::vector<double> x) {
+  if (x.empty()) return x;
+  const auto [lo_it, hi_it] = std::minmax_element(x.begin(), x.end());
+  const double lo = *lo_it;
+  const double range = *hi_it - lo;
+  if (range <= 0.0) {
+    std::fill(x.begin(), x.end(), 0.0);
+    return x;
+  }
+  for (double& v : x) v = (v - lo) / range;
+  return x;
+}
+
+// Rows for the normalization contract: hand-picked edge rows (ties,
+// signed zeros as minimum, maximum or neither, constant rows, length 1)
+// and filled rows of every length up to past one 4-chain AVX-512 step
+// (32 lanes) plus a tail, with repeated extremes and signed zeros
+// planted in the vector body and in the scalar tail.
+std::vector<std::vector<double>> NormalizationRows() {
+  std::vector<std::vector<double>> rows = {
+      {0.5},
+      {-0.0},
+      {3.0, 3.0, 3.0},
+      {-0.0, 0.0, -0.0},
+      {0.0, -0.0, 1.0, 2.0, -0.0},
+      {-0.0, 0.0, 1.0, 2.0, 0.0},
+      {-3.0, -0.0, 0.0, -1.0},
+      {-3.0, 0.0, -0.0, -1.0},
+      {1.0, 2.0, 2.0, 1.0, 0.5, 0.5, 2.0},
+      {-1.5, 0.0, -0.0, 4.0, 1e-300, -1e-300},
+  };
+  uint64_t state = 0x5eed;
+  for (size_t n = 2; n <= 70; ++n) {
+    for (int variant = 0; variant < 3; ++variant) {
+      std::vector<double> row(n);
+      for (double& v : row) v = Fill(&state);
+      if (variant == 1) {
+        // Repeated extremes: the min twice, the max twice.
+        row[n / 3] = row[n - 1] = -7.0;
+        row[0] = row[n / 2] = 9.0;
+      } else if (variant == 2) {
+        // Zero is the minimum, with both signs at several positions.
+        for (double& v : row) v = std::abs(v) + 0.25;
+        row[n - 1] = -0.0;
+        row[n / 2] = 0.0;
+        if (n > 3) row[1] = -0.0;
+      }
+      rows.push_back(std::move(row));
+    }
+  }
+  std::vector<double> constant(70, -2.5);
+  rows.push_back(constant);
+  std::vector<double> max_zero(67);
+  for (double& v : max_zero) v = -std::abs(Fill(&state)) - 0.5;
+  max_zero[3] = 0.0;
+  max_zero[40] = -0.0;
+  max_zero[66] = 0.0;
+  rows.push_back(max_zero);
+  return rows;
+}
+
+TEST(FactorKernelsTest, MinMaxNormalizeBitIdenticalToReferenceOnEveryVariant) {
+  DispatchGuard guard;
+  const std::vector<std::vector<double>> rows = NormalizationRows();
+  for (const KernelVariant v : SupportedKernelVariants()) {
+    ASSERT_TRUE(ForceKernelVariant(v).ok());
+    std::vector<double> empty;
+    MinMaxNormalize(std::span<double>(empty));
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const std::vector<double> expected = ReferenceMinMaxNormalize(rows[r]);
+      std::vector<double> got = rows[r];
+      MinMaxNormalize(std::span<double>(got));
+      ASSERT_EQ(got.size(), expected.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(got[i]),
+                  std::bit_cast<uint64_t>(expected[i]))
+            << KernelVariantName(v) << " row " << r << " (length "
+            << got.size() << ") index " << i << ": " << got[i] << " vs "
+            << expected[i];
       }
     }
   }

@@ -96,6 +96,39 @@ TEST(ServeProtocolTest, RejectsIntegersThatOverflow32Bits) {
   EXPECT_EQ(edge->user, 2147483647);
 }
 
+// Every piece of the client's line an ERR quotes back is cut to 64
+// bytes plus "...", so a reply never grows with the request; short
+// tokens are quoted whole.
+TEST(ServeProtocolTest, ErrorMessagesQuoteAtMost64BytesOfAToken) {
+  const std::string big(1000, 'z');
+  const std::string cut = std::string(64, 'z') + "...";
+  const std::string digits(70, '1');
+  const std::string cut_digits = std::string(64, '1') + "...";
+  // Parses to 2^32, out of int32 range; the zeros make it 70 bytes.
+  const std::string wide = std::string(60, '0') + "4294967296";
+  const std::string cut_wide = std::string(60, '0') + "4294...";
+  const struct {
+    std::string line;
+    std::string message;
+  } cases[] = {
+      {big, "unknown command '" + cut + "'"},
+      {"TOPN user=1 " + big, "expected key=value, got '" + cut + "'"},
+      {"TOPN user=1 " + big + "=1", "unknown key '" + cut + "'"},
+      {"TOPN user=" + big, "bad integer for 'user': '" + cut + "'"},
+      {"TOPN user=" + wide,
+       "integer out of range for 'user': '" + cut_wide + "'"},
+      {"TOPN user=1 exclude=" + digits + ",",
+       "bad id list for 'exclude': '" + cut_digits + "'"},
+      {"FETCH user=1", "unknown command 'FETCH'"},
+      {std::string(64, 'q'), "unknown command '" + std::string(64, 'q') + "'"},
+  };
+  for (const auto& c : cases) {
+    const Result<ServeRequest> r = ParseServeRequest(c.line);
+    ASSERT_FALSE(r.ok()) << c.line.substr(0, 40);
+    EXPECT_EQ(r.status().message(), c.message);
+  }
+}
+
 TEST(ServeProtocolTest, FormatsResponses) {
   const std::vector<ItemId> items = {5, 1, 9};
   EXPECT_EQ(FormatTopNResponse(3, 5, items), "OK user=3 n=5 items=5,1,9");
@@ -384,6 +417,8 @@ TEST_F(GancServeSubprocessTest, OverlongRequestLineIsRejectedAndSkipped) {
   const std::string at_cap = serve.ReadLine();
   EXPECT_EQ(at_cap.rfind("ERR ", 0), 0u) << at_cap.substr(0, 80);
   EXPECT_NE(at_cap, too_long);
+  // ...and its reply quotes only a prefix of the 1 MiB token.
+  EXPECT_LT(at_cap.size(), 100u) << at_cap.substr(0, 120);
   serve.Send("PING");
   EXPECT_EQ(serve.ReadLine(), "OK pong");
   EXPECT_EQ(serve.CloseAndWait(), 0);

@@ -155,6 +155,30 @@ TEST(SelectTopKTest, ScanAndPartialSelectRegimesAgree) {
   }
 }
 
+TEST(SelectTopKTest, ScanBlocksAgreeWithFullSortOnUnorderedTies) {
+  // The scan rejects whole blocks of 8 against the worst kept score; ties
+  // with it and equal scores arriving in descending id order must still
+  // resolve by item id, at every length around the block size.
+  for (int32_t n = 9; n <= 75; ++n) {
+    std::vector<ScoredItem> items;
+    for (int32_t i = 0; i < n; ++i) {
+      const int32_t id = n - 1 - i;
+      items.push_back({id, static_cast<double>((i * 5) % 4)});
+    }
+    auto sorted = items;
+    std::sort(sorted.begin(), sorted.end(), ScoredBetter);
+    for (const size_t k : {1u, 2u, 5u}) {
+      if (!UseScanSelect(k, items.size())) continue;
+      const auto top = SelectTopK(items, k);
+      ASSERT_EQ(top.size(), k);
+      for (size_t r = 0; r < k; ++r) {
+        ASSERT_EQ(top[r].item, sorted[r].item)
+            << "n=" << n << " k=" << k << " rank " << r;
+      }
+    }
+  }
+}
+
 TEST(SelectTopKTest, LargeInputAgreesWithFullSort) {
   std::vector<ScoredItem> items;
   for (int32_t i = 0; i < 1000; ++i) {
